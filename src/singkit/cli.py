@@ -17,30 +17,18 @@ import json
 import sys
 from fractions import Fraction
 
-from . import corpus, defspace, dualcomplex, smallres
+from . import corpus, dualcomplex
 from .errors import ConfigError, ConsistencyError, ParseError
-from .localring import INFINITE, milnor_number, tjurina_number
-from .poly import parse_polynomial
-
-
-def _jsonify(value):
-    if isinstance(value, float) and value == INFINITE:
-        return "infinite"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+# unused here; perfbench/tests/test_perfbench.py checks that the tracer rebinds it
+from .localring import tjurina_number  # noqa: F401
 
 
 def _emit(command, inputs, results, checks=(), warnings=()):
     report = {
         "command": command,
-        "inputs": _jsonify(inputs),
-        "results": _jsonify(results),
-        "checks": _jsonify(list(checks)),
+        "inputs": corpus.jsonify(inputs),
+        "results": corpus.jsonify(results),
+        "checks": corpus.jsonify(list(checks)),
         "warnings": list(warnings),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -65,151 +53,53 @@ def _load_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_dot(path, config):
+def _write_dot(args, data, results):
+    """--dot: render the configuration to args.dot and name the file in results."""
+    if not args.dot:
+        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dualcomplex.config_to_dot(config))
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(dualcomplex.config_to_dot(dualcomplex.config_from_dict(data)))
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {args.dot}: {exc}") from exc
+    results["dot_file"] = args.dot
 
 
 # -- subcommands -----------------------------------------------------------------
+#
+# Each subcommand turns its arguments into the inputs of the corpus operation
+# of its kind and emits that operation's (results, checks, warnings).
 
 
-def _cmd_tjurina(args):
-    f = parse_polynomial(args.poly, _parse_vars(args.vars))
-    tau = tjurina_number(f)
-    warnings = []
-    if tau == INFINITE:
-        warnings.append("the singular locus is positive-dimensional at the origin")
-    results = {
-        "tau": tau,
-        "relations": {"tau": "dim of the local ring modulo (f, all partials of f)"},
-    }
-    return _emit("tjurina", {"poly": args.poly, "vars": args.vars},
-                 results, warnings=warnings)
-
-
-def _cmd_milnor(args):
-    f = parse_polynomial(args.poly, _parse_vars(args.vars))
-    mu = milnor_number(f)
-    warnings = []
-    if mu == INFINITE:
-        warnings.append("the singular locus is positive-dimensional at the origin")
-    results = {
-        "mu": mu,
-        "relations": {"mu": "dim of the local ring modulo (all partials of f)"},
-    }
-    return _emit("milnor", {"poly": args.poly, "vars": args.vars},
-                 results, warnings=warnings)
+def _cmd_tjurina_milnor(args):
+    op = corpus.tjurina if args.command == "tjurina" else corpus.milnor
+    return _emit(args.command, {"poly": args.poly, "vars": args.vars},
+                 *op({"poly": args.poly, "vars": _parse_vars(args.vars)}))
 
 
 def _cmd_smallres(args):
     data = _load_json(args.germ)
-    germ = smallres.germ_from_dict(data)
-    inv, checks, warnings = smallres.small_res_report(germ)
-    results = {
-        "tau": inv.tau, "mu": inv.mu, "r": inv.r, "delta": inv.delta,
-        "b": inv.b, "a": inv.a, "b11": inv.b11, "b21": inv.b21,
-        "ell21": inv.ell21, "is_odp": inv.is_odp,
-        "h2_forms_dim": inv.h2_forms_dim,
-        "relations": {
-            "delta": "(mu(g) + branches - 1) / 2",
-            "b": "delta - r",
-            "a": "2*b + r - tau",
-            "b11": "b", "b21": "b - a", "ell21": "r",
-            "is_odp": "b == 0",
-            "h2_forms_dim": "b + r",
-        },
-    }
-    return _emit("smallres", {"germ": data}, results, checks=checks,
-                 warnings=warnings)
+    return _emit("smallres", {"germ": data}, *corpus.smallres({"germ": data}))
 
 
 def _cmd_dc_invariants(args):
     data = _load_json(args.config)
-    config = dualcomplex.config_from_dict(data)
-    rep = dualcomplex.link_invariant(config)
-    rank_b2 = dualcomplex.restriction_rank_b2(config, seed=args.seed)
-    complex_ = dualcomplex.build_dual_complex(config)
-    checks = [{
-        "name": "b2 restriction matrix rank agrees",
-        "expected": rep.b2e, "actual": rank_b2, "pass": rank_b2 == rep.b2e,
-    }]
-    results = {
-        "r": rep.r, "n_double": rep.n_double, "b2e": rep.b2e, "ell": rep.ell,
-        "dual_complex": {
-            "vertices": rep.r,
-            "edges": len(complex_.edges),
-            "cells": len(complex_.cells),
-            "euler_characteristic": complex_.euler_characteristic,
-            "h1_rank": complex_.h1_rank,
-            "connected": complex_.connected,
-        },
-        "relations": {
-            "b2e": "sum of b2 over components - number of double curves",
-            "ell": "b2e - r",
-            "euler_characteristic": "vertices - edges + cells",
-        },
-    }
-    if args.dot:
-        _write_dot(args.dot, config)
-        results["dot_file"] = args.dot
+    results, checks, warnings = corpus.link({"config": data}, seed=args.seed)
+    _write_dot(args, data, results)
     return _emit("dualcomplex-invariants", {"config": data, "seed": args.seed},
-                 results, checks=checks, warnings=rep.warnings)
+                 results, checks, warnings)
 
 
 def _cmd_dc_classify(args):
     data = _load_json(args.config)
-    config = dualcomplex.config_from_dict(data)
-    result = dualcomplex.classify(config)
-    results = {
-        "verdict": result.verdict.value,
-        "failed_clauses": result.failed_clauses,
-        "assumed_clauses": result.assumed_clauses,
-    }
-    warnings = list(result.notes)
-    if result.verdict is not dualcomplex.Verdict.UNCLASSIFIED:
-        dims = dualcomplex.deformation_dims(config)
-        results["deformation"] = {
-            "h0_t1": dims.h0_t1, "h1_t1": dims.h1_t1, "dim_t2": dims.dim_t2,
-            "h2_lower_bound": dualcomplex.h2_lower_bound(config, result),
-            "relations": {
-                "h0_t1": "sum of h01 over components",
-                "h1_t1": "r - 1", "dim_t2": "r - 1",
-            },
-        }
-    if args.dot:
-        _write_dot(args.dot, config)
-        results["dot_file"] = args.dot
-    return _emit("dualcomplex-classify", {"config": data}, results,
-                 warnings=warnings)
+    results, checks, warnings = corpus.classify({"config": data})
+    _write_dot(args, data, results)
+    return _emit("dualcomplex-classify", {"config": data}, results, checks, warnings)
 
 
 def _cmd_defspace_verify(args):
-    m = defspace.build(args.n)
-    jac = defspace.jacobian_identity(m)
-    ram = defspace.ramification_check(m, samples=args.samples, seed=args.seed)
-    checks = [
-        {"name": "substitution factors the target polynomial",
-         "expected": True, "actual": defspace.verify_factor_identity(m),
-         "pass": defspace.verify_factor_identity(m)},
-        {"name": "jacobian determinant equals the cofactor at the root (up to sign)",
-         "expected": True, "actual": jac.matches, "pass": jac.matches},
-        {"name": "composing with the section recovers the coefficients",
-         "expected": True, "actual": defspace.inverse_composition_reduces(m),
-         "pass": defspace.inverse_composition_reduces(m)},
-        {"name": "critical locus maps into the discriminant",
-         "expected": True, "actual": ram.ok, "pass": ram.ok},
-    ]
-    results = {
-        "n": args.n,
-        "map": [str(c) for c in m.components],
-        "jacobian_sign": jac.sign,
-        "ramification_samples": ram.samples,
-    }
     return _emit("defspace-verify", {"n": args.n, "seed": args.seed},
-                 results, checks=checks)
+                 *corpus.defspace({"n": args.n, "samples": args.samples}, seed=args.seed))
 
 
 def _cmd_defspace_fiber(args):
@@ -217,21 +107,8 @@ def _cmd_defspace_fiber(args):
         b_values = [Fraction(v.strip()) for v in args.b.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"--b must be comma-separated rationals: {exc}") from exc
-    m = defspace.build(args.n)
-    fib = defspace.fiber_count(m, b_values)
-    results = {
-        "n": args.n,
-        "count": fib.count,
-        "is_generic": fib.is_generic,
-        "discriminant": fib.discriminant,
-        "rational_points": [{"lam": p.lam, "t": list(p.t)} for p in fib.points],
-        "relations": {
-            "count": "n - deg gcd(P, P') for P = w^n + sum b_i w^i",
-            "is_generic": "discriminant of P nonzero",
-        },
-    }
-    return _emit("defspace-fiber", {"n": args.n, "b": [str(v) for v in b_values]},
-                 results)
+    inputs = {"n": args.n, "b": b_values}
+    return _emit("defspace-fiber", inputs, *corpus.fiber(inputs))
 
 
 def _cmd_corpus(args):
@@ -240,16 +117,11 @@ def _cmd_corpus(args):
         entries = _load_json(args.path)
         if not isinstance(entries, list):
             raise ConfigError("a corpus file must be a JSON list of entries")
-    results = corpus.run_corpus(entries, seed=args.seed)
-    checks = [
-        {"name": r["id"], "expected": r["expected"], "actual": r["actual"],
-         "pass": r["pass"]}
-        for r in results
-    ]
+    checks = corpus.run_corpus(entries, seed=args.seed)
     summary = {
-        "total": len(results),
-        "passed": sum(1 for r in results if r["pass"]),
-        "failed": [r["id"] for r in results if not r["pass"]],
+        "total": len(checks),
+        "passed": sum(1 for c in checks if c["pass"]),
+        "failed": [c["name"] for c in checks if not c["pass"]],
     }
     return _emit("corpus", {"path": args.path, "seed": args.seed},
                  summary, checks=checks)
@@ -268,12 +140,12 @@ def build_parser():
     p = sub.add_parser("tjurina", help="Tjurina number of an isolated hypersurface germ")
     p.add_argument("poly", help="polynomial with rational coefficients, e.g. 'x^2+y^2+z^2+w^6'")
     p.add_argument("--vars", default="x,y,z,w", help="comma-separated variable names")
-    p.set_defaults(func=_cmd_tjurina)
+    p.set_defaults(func=_cmd_tjurina_milnor)
 
     p = sub.add_parser("milnor", help="Milnor number of an isolated hypersurface germ")
     p.add_argument("poly")
     p.add_argument("--vars", default="x,y,z,w")
-    p.set_defaults(func=_cmd_milnor)
+    p.set_defaults(func=_cmd_tjurina_milnor)
 
     p = sub.add_parser("smallres", help="invariant package of a suspended plane-curve germ")
     p.add_argument("germ", help="path to a germ description (JSON)")
@@ -324,16 +196,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except ConsistencyError as exc:
-        report = {
-            "command": args.command,
-            "inputs": {},
-            "results": {},
-            "checks": [{"name": exc.relation, "pass": False,
-                        "detail": str(exc)}],
-            "warnings": [],
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 1
+        return _emit(args.command, {}, {},
+                     [{"name": exc.relation, "pass": False, "detail": str(exc)}])
     except (ParseError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

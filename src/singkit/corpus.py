@@ -1,17 +1,25 @@
-"""Bundled regression corpus: every published value the package reproduces.
+"""Bundled regression corpus: every published value the package reproduces,
+and the operations that compute it.
 
 Each entry is a plain dict (JSON-compatible) with an id, a kind that
 selects the computation, the inputs, and the expected values.  Expected
 dicts are compared key-by-key, so an entry pins exactly the numbers it
 cares about.  External corpus files use the same schema: a JSON list of
 these entry objects.
+
+Each kind has one operation here, shared with the CLI subcommands: it takes
+the fields of an entry and a seed and returns (results, checks, warnings)
+as the CLI reports them; the runner reads an entry's pinned values off that.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
+from fractions import Fraction
 
-from . import defspace, dualcomplex, smallres
+from . import defspace as ds
+from . import dualcomplex as dc
+from . import smallres as sr
 from .errors import ConfigError
 from .localring import INFINITE, milnor_number, tjurina_number
 from .poly import parse_polynomial
@@ -208,141 +216,227 @@ ENTRIES = [
 ]
 
 
-# -- the runner -------------------------------------------------------------------
+# -- the operations --------------------------------------------------------------
 
 _DEFAULT_VARS = ("x", "y", "z", "w")
 
 
-def _dim_value(v):
-    return "infinite" if v == INFINITE else v
+def jsonify(value):
+    """value with INFINITE as "infinite", Fractions as strings and tuples as
+    lists: the form reports print and corpus expectations are written in."""
+    if isinstance(value, float) and value == INFINITE:
+        return "infinite"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
 
 
-def _run_tjurina(entry, seed):
-    f = parse_polynomial(entry["poly"], entry.get("vars", _DEFAULT_VARS))
-    return {"tau": _dim_value(tjurina_number(f))}
+def _local_number(inputs, number, name, relation):
+    f = parse_polynomial(inputs["poly"], inputs.get("vars", _DEFAULT_VARS))
+    value = number(f)
+    warnings = []
+    if value == INFINITE:
+        warnings.append("the singular locus is positive-dimensional at the origin")
+    return {name: value, "relations": {name: relation}}, [], warnings
 
 
-def _run_milnor(entry, seed):
-    f = parse_polynomial(entry["poly"], entry.get("vars", _DEFAULT_VARS))
-    return {"mu": _dim_value(milnor_number(f))}
+def tjurina(inputs, seed=0):
+    return _local_number(inputs, tjurina_number, "tau",
+                         "dim of the local ring modulo (f, all partials of f)")
 
 
-def _run_smallres(entry, seed):
-    germ = smallres.germ_from_dict(entry["germ"])
-    inv, checks, _warnings = smallres.small_res_report(germ)
-    out = {
-        "tau": inv.tau, "mu": inv.mu, "r": inv.r, "delta": inv.delta,
-        "b": inv.b, "a": inv.a, "b11": inv.b11, "b21": inv.b21,
-        "ell21": inv.ell21, "is_odp": inv.is_odp,
-        "checks_pass": all(c["pass"] for c in checks),
+def milnor(inputs, seed=0):
+    return _local_number(inputs, milnor_number, "mu",
+                         "dim of the local ring modulo (all partials of f)")
+
+
+def smallres(inputs, seed=0):
+    inv, checks, warnings = sr.small_res_report(sr.germ_from_dict(inputs["germ"]))
+    results = {
+        **asdict(inv),
+        "h2_forms_dim": inv.h2_forms_dim,
+        "relations": {
+            "delta": "(mu(g) + branches - 1) / 2",
+            "b": "delta - r",
+            "a": "2*b + r - tau",
+            "b11": "b", "b21": "b - a", "ell21": "r",
+            "is_odp": "b == 0",
+            "h2_forms_dim": "b + r",
+        },
     }
-    return out
+    return results, checks, warnings
 
 
-def _run_link(entry, seed):
-    config = dualcomplex.config_from_dict(entry["config"])
-    rep = dualcomplex.link_invariant(config)
-    rank_b2 = dualcomplex.restriction_rank_b2(config, seed=seed)
-    return {
+def link(inputs, seed=0):
+    config = dc.config_from_dict(inputs["config"])
+    rep = dc.link_invariant(config)
+    rank_b2 = dc.restriction_rank_b2(config, seed=seed)
+    complex_ = dc.build_dual_complex(config)
+    checks = [{
+        "name": "b2 restriction matrix rank agrees",
+        "expected": rep.b2e, "actual": rank_b2, "pass": rank_b2 == rep.b2e,
+    }]
+    results = {
         "r": rep.r, "n_double": rep.n_double, "b2e": rep.b2e, "ell": rep.ell,
-        "rank_check": rank_b2 == rep.b2e,
+        "dual_complex": {
+            "vertices": rep.r,
+            "edges": len(complex_.edges),
+            "cells": len(complex_.cells),
+            "euler_characteristic": complex_.euler_characteristic,
+            "h1_rank": complex_.h1_rank,
+            "connected": complex_.connected,
+        },
+        "relations": {
+            "b2e": "sum of b2 over components - number of double curves",
+            "ell": "b2e - r",
+            "euler_characteristic": "vertices - edges + cells",
+        },
     }
+    return results, checks, rep.warnings
 
 
-def _run_semistable(entry, seed):
-    config = dualcomplex.config_from_dict(entry["config"])
-    spec = entry["model"]
+def semistable(inputs, seed=0):
+    config = dc.config_from_dict(inputs["config"])
+    spec = inputs["model"]
     if "simple_elliptic" in spec:
-        model = dualcomplex.SimpleElliptic(m=spec["simple_elliptic"]["m"])
+        model = dc.SimpleElliptic(m=spec["simple_elliptic"]["m"])
     elif "cusp" in spec:
-        model = dualcomplex.Cusp(m=spec["cusp"]["m"], s=spec["cusp"]["s"])
+        model = dc.Cusp(m=spec["cusp"]["m"], s=spec["cusp"]["s"])
     else:
         raise ConfigError(f"unknown semistable model {spec!r}")
-    chk = dualcomplex.semistable_ell_check(config, model)
-    return {"ok": chk.ok, "expected": chk.expected, "actual": chk.actual,
-            "bound_ok": chk.bound_ok}
+    chk = dc.semistable_ell_check(config, model)
+    results = {"ok": chk.ok, "expected": chk.expected, "actual": chk.actual,
+               "bound_ok": chk.bound_ok}
+    return results, [], []
 
 
-def _run_classify(entry, seed):
-    config = dualcomplex.config_from_dict(entry["config"])
-    result = dualcomplex.classify(config)
-    out = {"verdict": result.verdict.value}
-    if result.verdict is not dualcomplex.Verdict.UNCLASSIFIED:
-        dims = dualcomplex.deformation_dims(config)
-        out.update({"h0_t1": dims.h0_t1, "h1_t1": dims.h1_t1, "dim_t2": dims.dim_t2})
-        out["h2_lower_bound"] = dualcomplex.h2_lower_bound(config, result)
-    return out
-
-
-def _run_defspace(entry, seed):
-    m = defspace.build(entry["n"])
-    jac = defspace.jacobian_identity(m)
-    ram = defspace.ramification_check(m, seed=seed)
-    return {
-        "factor_identity": defspace.verify_factor_identity(m),
-        "jacobian_matches": jac.matches,
-        "jacobian_sign": jac.sign,
-        "inverse_composition": defspace.inverse_composition_reduces(m),
-        "ramification": ram.ok,
-        "phi": [str(c) for c in m.components],
+def classify(inputs, seed=0):
+    config = dc.config_from_dict(inputs["config"])
+    result = dc.classify(config)
+    results = {
+        "verdict": result.verdict.value,
+        "failed_clauses": result.failed_clauses,
+        "assumed_clauses": result.assumed_clauses,
     }
+    if result.verdict is not dc.Verdict.UNCLASSIFIED:
+        dims = dc.deformation_dims(config)
+        results["deformation"] = {
+            "h0_t1": dims.h0_t1, "h1_t1": dims.h1_t1, "dim_t2": dims.dim_t2,
+            "h2_lower_bound": dc.h2_lower_bound(config, result),
+            "relations": {
+                "h0_t1": "sum of h01 over components",
+                "h1_t1": "r - 1", "dim_t2": "r - 1",
+            },
+        }
+    return results, [], list(result.notes)
 
 
-def _run_fiber(entry, seed):
-    m = defspace.build(entry["n"])
-    fib = defspace.fiber_count(m, entry["b"])
-    return {
+# (the key a corpus entry pins, the check's name in reports)
+_DEFSPACE_CHECKS = (
+    ("factor_identity", "substitution factors the target polynomial"),
+    ("jacobian_matches", "jacobian determinant equals the cofactor at the root (up to sign)"),
+    ("inverse_composition", "composing with the section recovers the coefficients"),
+    ("ramification", "critical locus maps into the discriminant"),
+)
+
+
+def defspace(inputs, seed=0):
+    m = ds.build(inputs["n"])
+    jac = ds.jacobian_identity(m)
+    ram = ds.ramification_check(m, samples=inputs.get("samples", 24), seed=seed)
+    outcomes = (ds.verify_factor_identity(m), jac.matches,
+                ds.inverse_composition_reduces(m), ram.ok)
+    checks = [{"name": name, "expected": True, "actual": ok, "pass": ok}
+              for (_, name), ok in zip(_DEFSPACE_CHECKS, outcomes)]
+    results = {
+        "n": inputs["n"],
+        "map": [str(c) for c in m.components],
+        "jacobian_sign": jac.sign,
+        "ramification_samples": ram.samples,
+    }
+    return results, checks, []
+
+
+def fiber(inputs, seed=0):
+    fib = ds.fiber_count(ds.build(inputs["n"]), inputs["b"])
+    results = {
+        "n": inputs["n"],
         "count": fib.count,
         "is_generic": fib.is_generic,
-        "discriminant": str(fib.discriminant),
-        "points": [[str(p.lam), [str(t) for t in p.t]] for p in fib.points],
+        "discriminant": fib.discriminant,
+        "rational_points": [{"lam": p.lam, "t": list(p.t)} for p in fib.points],
+        "relations": {
+            "count": "n - deg gcd(P, P') for P = w^n + sum b_i w^i",
+            "is_generic": "discriminant of P nonzero",
+        },
     }
+    return results, [], []
 
 
-_RUNNERS = {
-    "tjurina": _run_tjurina,
-    "milnor": _run_milnor,
-    "smallres": _run_smallres,
-    "link": _run_link,
-    "semistable": _run_semistable,
-    "classify": _run_classify,
-    "defspace": _run_defspace,
-    "fiber": _run_fiber,
+# -- the runner -------------------------------------------------------------------
+
+
+# kind -> (operation, the entry fields it reads, and the values an entry can
+# pin, read off the operation's results and checks in their JSON form)
+_KINDS = {
+    "tjurina": (tjurina, ("poly",), lambda res, _: {"tau": res["tau"]}),
+    "milnor": (milnor, ("poly",), lambda res, _: {"mu": res["mu"]}),
+    "smallres": (smallres, ("germ",), lambda res, checks: {
+        **{f.name: res[f.name] for f in fields(sr.SmallResInvariants)},
+        "checks_pass": all(c["pass"] for c in checks)}),
+    "link": (link, ("config",), lambda res, checks: {
+        **{k: res[k] for k in ("r", "n_double", "b2e", "ell")},
+        "rank_check": checks[0]["pass"]}),
+    "semistable": (semistable, ("config", "model"), lambda res, _: res),
+    "classify": (classify, ("config",), lambda res, _: {
+        "verdict": res["verdict"],
+        **{k: v for k, v in res.get("deformation", {}).items() if k != "relations"}}),
+    "defspace": (defspace, ("n",), lambda res, checks: {
+        **{key: c["actual"] for (key, _), c in zip(_DEFSPACE_CHECKS, checks)},
+        "jacobian_sign": res["jacobian_sign"], "phi": res["map"]}),
+    "fiber": (fiber, ("n", "b"), lambda res, _: {
+        **{k: res[k] for k in ("count", "is_generic", "discriminant")},
+        "points": [[p["lam"], p["t"]] for p in res["rational_points"]]}),
 }
 
 
 def run_entry(entry, seed=0):
+    """The entry's check as corpus reports print it: its id as name, the
+    pinned values expected and computed, and whether they agree."""
     if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
         raise ConfigError("each corpus entry needs 'id' and 'kind'")
-    runner = _RUNNERS.get(entry["kind"])
-    if runner is None:
+    if not isinstance(entry["kind"], str) or entry["kind"] not in _KINDS:
         raise ConfigError(f"unknown corpus entry kind {entry['kind']!r}")
+    if not isinstance(entry.get("expected", {}), dict):
+        raise ConfigError(f"corpus entry {entry['id']!r}: expected must be an object")
+    op, needs, pinned = _KINDS[entry["kind"]]
+    for name in needs:
+        if name not in entry:
+            raise ConfigError(f"corpus entry {entry['id']!r} needs {name!r}")
+    results, checks, _warnings = op(entry, seed)
+    actual = pinned(jsonify(results), jsonify(checks))
     expected = entry.get("expected", {})
-    actual = runner(entry, seed)
-    mismatches = {
-        k: {"expected": v, "actual": actual.get(k)}
-        for k, v in expected.items()
-        if actual.get(k) != v
-    }
-    return {
-        "id": entry["id"],
-        "pass": not mismatches,
-        "expected": expected,
-        "actual": {k: actual.get(k) for k in expected} if expected else actual,
-        "mismatches": mismatches,
-    }
+    if expected:
+        actual = {k: actual.get(k) for k in expected}
+    return {"name": entry["id"], "expected": expected, "actual": actual,
+            "pass": actual == expected or not expected}
 
 
-def run_corpus(entries=None, seed=0, max_workers=8):
-    """Run entries in parallel worker threads; results assembled in
-    entry-id order so reports are deterministic."""
+def run_corpus(entries=None, seed=0):
+    """Run entries one after another; results come back in entry-id order
+    so reports are deterministic."""
     if entries is None:
         entries = ENTRIES
     if not entries:
         raise ConfigError("empty corpus")
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ConfigError(f"corpus entry {i} is not an object")
     ids = [e.get("id") for e in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate corpus entry ids")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda e: run_entry(e, seed=seed), entries))
-    return sorted(results, key=lambda r: r["id"])
+    return sorted((run_entry(e, seed=seed) for e in entries), key=lambda r: r["name"])

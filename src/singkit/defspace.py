@@ -18,6 +18,7 @@ points over rational base points.  Everything is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,9 +258,7 @@ def _rational_roots(p: Poly, name: str, assign) -> list:
     rational coefficients (other ambient variables already numeric)."""
     deg = p.degree_in(name)
     coeffs = [p.coefficient_in(name, k).constant_term() for k in range(deg + 1)]
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     roots = []
     low = next(k for k, a in enumerate(ints) if a)
@@ -278,12 +277,6 @@ def _rational_roots(p: Poly, name: str, assign) -> list:
                 if p.evaluate({name: cand, **assign}) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

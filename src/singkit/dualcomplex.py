@@ -847,6 +847,17 @@ def _uint(v, what):
     return v
 
 
+def _objects(d, key, what):
+    """d[key] (empty when absent), checked to be a list of JSON objects."""
+    items = d.get(key, ())
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    for x in items:
+        if not isinstance(x, dict):
+            raise ConfigError(f"each {what} must be an object")
+    return items
+
+
 def config_from_dict(d: dict) -> DivisorConfiguration:
     if not isinstance(d, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -857,9 +868,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
         raise ConfigError("configuration needs 'components'")
 
     comps = []
-    for c in d["components"]:
-        if not isinstance(c, dict):
-            raise ConfigError("each component must be an object")
+    for c in _objects(d, "components", "component"):
         unknown = set(c) - _COMPONENT_KEYS
         if unknown:
             raise ConfigError(f"unknown component keys: {sorted(unknown)}")
@@ -889,7 +898,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
         )
 
     curves = []
-    for x in d.get("double_curves", ()):
+    for x in _objects(d, "double_curves", "double curve"):
         unknown = set(x) - _CURVE_KEYS
         if unknown:
             raise ConfigError(f"unknown double curve keys: {sorted(unknown)}")
@@ -905,7 +914,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
         )
 
     triples = []
-    for i, x in enumerate(d.get("triple_points", ())):
+    for i, x in enumerate(_objects(d, "triple_points", "triple point")):
         unknown = set(x) - _TRIPLE_KEYS
         if unknown:
             raise ConfigError(f"unknown triple point keys: {sorted(unknown)}")
@@ -933,7 +942,10 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
                 raise ConfigError(f"ambiguous marked data: two candidate D0 curves {list(d0)}")
             d0 = d0[0] if d0 else None
         cc = {}
-        for comp_id, chains in (m.get("c_curves") or {}).items():
+        c_curves = m.get("c_curves") or {}
+        if not isinstance(c_curves, dict):
+            raise ConfigError("c_curves must be an object mapping component ids to chains")
+        for comp_id, chains in c_curves.items():
             if not isinstance(chains, (list, tuple)):
                 raise ConfigError("c_curves values must be lists of chains")
             norm = []

@@ -21,6 +21,7 @@ dicts for speed; the public surface accepts and returns Poly objects.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -421,17 +422,7 @@ def quasi_homogeneous_weights(f: Poly):
     w = [base[c] + sum(coeff[c][i] * u[i] for i in range(k)) for c in range(n)]
     if any(x <= 0 for x in w):
         return None  # numerically impossible if FM was feasible; belt and braces
-    scale = 1
-    for x in w:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in w))
     weights = tuple(int(x * scale) for x in w)
-    g = 0
-    for x in weights + (scale,):
-        g = _gcd(g, x)
+    g = math.gcd(*weights, scale)
     return tuple(x // g for x in weights), scale // g
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

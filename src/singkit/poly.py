@@ -442,7 +442,10 @@ def parse_polynomial(text: str, vars) -> Poly:
     p = _Parser(text, vars)
     if not p.toks:
         raise ParseError("empty input", 0)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", p.peek()[2]) from None
     kind, val, at = p.peek()
     if kind is not None:
         raise ParseError(f"unexpected {val!r}", at)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from singkit import defspace
 from singkit.cli import main
 from singkit.corpus import TYPE_II_CHAIN, TYPE_III2_DISK
 
@@ -209,6 +210,55 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
         {"id": "same", "kind": "tjurina", "poly": "x^2+y^2+z^2+w^4"},
     ]))
     assert main(["corpus", str(dup)]) == 2
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"id": "a", "kind": "tjurina", "poly": "x^2+y^2+z^2+w^2"}, 7],
+     "corpus entry 1 is not an object"),
+    (["tjurina"], "corpus entry 0 is not an object"),
+    ([{"id": "t", "kind": "tjurina"}], "corpus entry 't' needs 'poly'"),
+    ([{"id": "m", "kind": "milnor", "vars": ["x"]}], "corpus entry 'm' needs 'poly'"),
+    ([{"id": "s", "kind": "smallres"}], "corpus entry 's' needs 'germ'"),
+    ([{"id": "l", "kind": "link"}], "corpus entry 'l' needs 'config'"),
+    ([{"id": "c", "kind": "classify"}], "corpus entry 'c' needs 'config'"),
+    ([{"id": "e", "kind": "semistable", "config": {"components": []}}],
+     "corpus entry 'e' needs 'model'"),
+    ([{"id": "d", "kind": "defspace"}], "corpus entry 'd' needs 'n'"),
+    ([{"id": "f", "kind": "fiber", "n": 3}], "corpus entry 'f' needs 'b'"),
+    ([{"id": "f", "kind": "fiber", "b": ["0", "0"]}], "corpus entry 'f' needs 'n'"),
+    ([{"id": "k", "kind": ["tjurina"]}], "unknown corpus entry kind"),
+    ([{"id": "x", "kind": "tjurina", "poly": "x^2", "expected": [1]}],
+     "corpus entry 'x': expected must be an object"),
+])
+def test_corpus_malformed_entry_exits_2(tmp_path, capsys, entries, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(entries))
+    assert main(["corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_deeply_nested_polynomial_exits_2(capsys):
+    assert main(["tjurina", "(" * 3000 + "x" + ")" * 3000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parentheses nested too deeply") and err.count("\n") == 1
+
+
+def test_defspace_verify_runs_each_identity_once(monkeypatch, capsys):
+    calls = {"verify_factor_identity": 0, "inverse_composition_reduces": 0}
+    for name in calls:
+        original = getattr(defspace, name)
+
+        def counted(m, name=name, original=original):
+            calls[name] += 1
+            return original(m)
+
+        monkeypatch.setattr(defspace, name, counted)
+    code, report = run(capsys, "defspace-verify", "--n", "4")
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert calls == {"verify_factor_identity": 1, "inverse_composition_reduces": 1}
 
 
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):

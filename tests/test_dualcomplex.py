@@ -349,6 +349,29 @@ def test_rejects_unknown_keys():
         config_from_dict(bad)
 
 
+def test_rejects_components_that_are_not_a_list():
+    with pytest.raises(ConfigError, match="components must be a list"):
+        config_from_dict({"components": 5})
+
+
+def test_rejects_triple_point_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="each triple point must be an object"):
+        config_from_dict({"components": [{"id": "E", "kind": "rational"}],
+                          "triple_points": [1]})
+
+
+def test_rejects_c_curves_that_are_not_an_object():
+    with pytest.raises(ConfigError, match="c_curves must be an object"):
+        config_from_dict({"components": [{"id": "E", "kind": "rational"}],
+                          "marked": {"c_curves": [1]}})
+
+
+def test_rejects_double_curve_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="each double curve must be an object"):
+        config_from_dict({"components": [{"id": "E", "kind": "rational"}],
+                          "double_curves": ["D12"]})
+
+
 def test_rejects_duplicate_ids():
     with pytest.raises(ConfigError):
         config_from_dict({"components": [

@@ -58,6 +58,14 @@ def test_parse_rejects(bad):
         parse_polynomial(bad, ("x",))
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    text = "(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ("x",))
+    assert "nested too deeply" in str(err.value)
+    assert 0 < err.value.position < 3000
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x^2 + q", ("x",))
