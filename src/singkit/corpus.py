@@ -299,16 +299,30 @@ def link(inputs, seed=0):
     return results, checks, rep.warnings
 
 
+# semistable model key -> (model class, its integer parameters)
+_MODELS = {"simple_elliptic": (dc.SimpleElliptic, ("m",)), "cusp": (dc.Cusp, ("m", "s"))}
+
+
+def _semistable_model(spec):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"semistable model must be an object, got {spec!r}")
+    kinds = [k for k in _MODELS if k in spec]
+    if len(kinds) != 1:
+        raise ConfigError(f"unknown semistable model {spec!r}: "
+                          "give exactly one of 'simple_elliptic' and 'cusp'")
+    cls, names = _MODELS[kinds[0]]
+    params = spec[kinds[0]]
+    if not isinstance(params, dict) or not all(
+            isinstance(params.get(k), int) and not isinstance(params[k], bool)
+            for k in names):
+        raise ConfigError(f"semistable model {kinds[0]!r} needs integer "
+                          f"{' and '.join(map(repr, names))}, got {params!r}")
+    return cls(**{k: params[k] for k in names})
+
+
 def semistable(inputs, seed=0):
     config = dc.config_from_dict(inputs["config"])
-    spec = inputs["model"]
-    if "simple_elliptic" in spec:
-        model = dc.SimpleElliptic(m=spec["simple_elliptic"]["m"])
-    elif "cusp" in spec:
-        model = dc.Cusp(m=spec["cusp"]["m"], s=spec["cusp"]["s"])
-    else:
-        raise ConfigError(f"unknown semistable model {spec!r}")
-    chk = dc.semistable_ell_check(config, model)
+    chk = dc.semistable_ell_check(config, _semistable_model(inputs["model"]))
     results = {"ok": chk.ok, "expected": chk.expected, "actual": chk.actual,
                "bound_ok": chk.bound_ok}
     return results, [], []
@@ -436,6 +450,8 @@ def run_corpus(entries=None, seed=0):
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise ConfigError(f"corpus entry {i} is not an object")
+        if "id" in e and not isinstance(e["id"], str):
+            raise ConfigError(f"corpus entry {i}: id must be a string, got {e['id']!r}")
     ids = [e.get("id") for e in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate corpus entry ids")

@@ -14,14 +14,27 @@ exactly what guarantees termination in the local order, at the price of
 computing a weak normal form u*f mod I with u an invisible unit -- which
 is all we need, since only leading terms feed the dimension counts.
 
+Power-series tails are cut at the highest corner (Greuel-Pfister, A
+Singular Introduction to Commutative Algebra, 1.7).  Once the leading
+exponents found so far leave only finitely many monomials outside, let N
+be one more than the largest degree among those monomials (at most
+sum(b_i - 1) + 1 for pure powers x_i^b_i among the leads).  Every monomial
+of degree >= N is then a leading monomial, and since the leading term of
+an element is a term of least degree, m^d lies in I + m^(d+1) for every
+d >= N; Nakayama's lemma gives m^N inside I.  So terms of degree >= N are
+zero modulo I and the standard basis computation drops them: no oracle
+is needed to certify the truncation.
+
 Internally polynomials are handled as raw {exponent-tuple: Fraction}
 dicts for speed; the public surface accepts and returns Poly objects.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,29 +47,37 @@ INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
 # -- the local order ----------------------------------------------------------
 
 def order_key(exps):
-    """Sort key: bigger key = bigger monomial in neg-degrevlex."""
-    return (-sum(exps), tuple(-e for e in reversed(exps)))
+    """Sort key: smaller key = bigger monomial in neg-degrevlex."""
+    return (sum(exps), exps[::-1])
 
 
 def leading_exponent(terms):
-    return max(terms, key=order_key)
+    return min(terms, key=order_key)
 
 
-def _ecart(terms, lead=None):
-    if lead is None:
-        lead = leading_exponent(terms)
-    return max(sum(e) for e in terms) - sum(lead)
+def _lead_ecart(terms):
+    """Leading exponent and ecart (top total degree minus lead degree)."""
+    lead = leading_exponent(terms)
+    return lead, max(map(sum, terms)) - sum(lead)
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
-def _sub_scaled_shift(h, g, shift, c):
-    """h - c * x^shift * g, in place on a fresh dict."""
+def _truncate(terms, bound, keep=None):
+    """The terms of total degree below `bound`, and the exponent `keep`."""
+    return {e: c for e, c in terms.items() if sum(e) < bound or e == keep}
+
+
+def _sub_scaled_shift(h, g, shift, c, bound=None):
+    """h - c * x^shift * g on a fresh dict, dropping shifted terms of
+    total degree >= bound."""
     out = dict(h)
     for e, v in g.items():
         t = tuple(a + b for a, b in zip(e, shift))
+        if bound is not None and sum(t) >= bound:
+            continue
         s = out.get(t, 0) - c * v
         if s:
             out[t] = s
@@ -65,33 +86,36 @@ def _sub_scaled_shift(h, g, shift, c):
     return out
 
 
-def _mora_reduce_step(h, g):
-    """One cancellation of LT(h) by g (whose LT divides LT(h))."""
-    lh = leading_exponent(h)
-    lg = leading_exponent(g)
-    shift = tuple(a - b for a, b in zip(lh, lg))
-    c = h[lh] / g[lg]
-    return _sub_scaled_shift(h, g, shift, c)
+def mora_normal_form(f, reducers, bound=None):
+    """Weak normal form of f against the reducer list (raw dicts).
 
-
-def mora_normal_form(f, reducers):
-    """Weak normal form of f against the reducer list (raw dicts)."""
-    h = dict(f)
-    pool = list(reducers)
+    `bound` is a degree N with m^N inside the ideal that the reducers
+    generate (see `standard_basis`).  With it, terms of total degree >= N
+    are dropped from f and after every reduction step, and f reduces to
+    {} as soon as its leading term has degree >= N: every term left then
+    lies in m^N.
+    """
+    h = dict(f) if bound is None else _truncate(f, bound)
+    pool = [_lead_ecart(g) + (g,) for g in reducers]
     while h:
-        lh = leading_exponent(h)
-        usable = [g for g in pool if _divides(leading_exponent(g), lh)]
-        if not usable:
+        lh, eh = _lead_ecart(h)
+        if bound is not None and sum(lh) >= bound:
+            return {}
+        best = None
+        for entry in pool:
+            if _divides(entry[0], lh) and (best is None or entry[1] < best[1]):
+                best = entry
+        if best is None:
             break
-        g = min(usable, key=_ecart)
-        if _ecart(g) > _ecart(h, lh):
-            pool.append(dict(h))
-        h = _mora_reduce_step(h, g)
+        lg, eg, g = best
+        if eg > eh:
+            pool.append((lh, eh, dict(h)))
+        shift = tuple(a - b for a, b in zip(lh, lg))
+        h = _sub_scaled_shift(h, g, shift, h[lh] / g[lg], bound)
     return h
 
 
-def _spoly(f, g):
-    lf, lg = leading_exponent(f), leading_exponent(g)
+def _spoly(f, lf, g, lg):
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     sf = tuple(a - b for a, b in zip(lcm, lf))
     out = _sub_scaled_shift(
@@ -101,6 +125,25 @@ def _spoly(f, g):
         Fraction(1) / g[lg],
     )
     return out
+
+
+def _top_degree(leads, nvars):
+    """Largest total degree of a monomial in `nvars` variables that no
+    exponent in `leads` divides: -1 when there is none, None when there
+    are infinitely many.  Splits on the exponent of the first variable."""
+    if any(not any(e) for e in leads):
+        return -1
+    if not leads:
+        return None if nvars else 0
+    top = -1
+    cuts = sorted({0, *(e[0] for e in leads)})
+    for a, b in zip(cuts, cuts[1:] + [None]):
+        sub = _top_degree([e[1:] for e in leads if e[0] <= a], nvars - 1)
+        if sub is None or (b is None and sub >= 0):
+            return None
+        if sub >= 0:
+            top = max(top, b - 1 + sub)
+    return top
 
 
 # -- ideals and standard bases -------------------------------------------------
@@ -139,6 +182,10 @@ class StandardBasis:
     ideal: LocalIdeal
     basis: tuple
     leading_exponents: tuple
+    # certified degree N with m^N inside the ideal: one more than the
+    # degree of the highest corner; None when infinitely many monomials
+    # lie outside the leading ideal (some variable has no pure power)
+    corner: int | None = None
 
     @property
     def vars(self):
@@ -151,32 +198,64 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
     The returned basis is minimal: no leading monomial divides another,
     so the leading-exponent set is the canonical minimal generating set
     of the leading ideal (independent of generator order).
-    """
-    G = []
-    for g in ideal.generators:
-        d = dict(g.terms)
-        lc = d[leading_exponent(d)]
-        G.append({e: c / lc for e, c in d.items()})
 
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    # small ideals: plain Buchberger loop, cheapest-lcm-first selection
+    Highest corner (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, 1.7): once the leading exponents of the basis G built so far
+    hold a pure power x_i^b_i of every variable, only finitely many
+    monomials lie outside L(G); let N be one more than the largest degree
+    among them, so N <= sum(b_i - 1) + 1.  Every monomial of degree >= N
+    then lies in L(G).  Under a local degree order an element with leading
+    monomial m of degree d is m plus smaller terms of degree d plus terms
+    of higher degree, so m^d lies in (G) + m^(d+1) for each d >= N, and
+    Nakayama gives m^N inside (G), which is inside the ideal.  From then on
+    every term of degree >= N is zero modulo the ideal: S-pairs whose lcm
+    has degree >= N are skipped, normal forms drop such terms
+    (`mora_normal_form`'s `bound`), and the tails of the basis elements are
+    cut at N (their leading terms are kept).  N falls as new leading
+    exponents arrive, and the final N is recorded as `corner`: the least N
+    with m^N inside the ideal.  Until every variable has a pure power,
+    which for a non-isolated ideal is never, nothing is truncated.
+    """
+    n = len(ideal.vars)
+    G, leads = [], []
+    corner = None
+    pairs = []              # heap of (lcm degree, insertion count, i, j)
+    count = itertools.count()
+
+    def add(g):
+        nonlocal corner
+        lead = leading_exponent(g)
+        G.append({e: c / g[lead] for e, c in g.items()})
+        leads.append(lead)
+        # the leads can only become a full staircase when a pure power arrives
+        if corner is not None or sum(map(bool, lead)) == 1:
+            top = _top_degree(leads, n)
+            if top is not None and top + 1 != corner:
+                corner = top + 1
+                G[:] = [_truncate(gk, corner, lk) for gk, lk in zip(G, leads)]
+        if corner is not None:
+            G[-1] = _truncate(G[-1], corner, lead)
+
+    def push(i, j):
+        deg = sum(max(a, b) for a, b in zip(leads[i], leads[j]))
+        heapq.heappush(pairs, (deg, next(count), i, j))
+
+    for g in ideal.generators:
+        add(dict(g.terms))
+    for i, j in itertools.combinations(range(len(G)), 2):
+        push(i, j)
+    # cheapest-lcm-first selection, ties in the order the pairs arose
     while pairs:
-        pairs.sort(
-            key=lambda ij: sum(
-                max(a, b)
-                for a, b in zip(leading_exponent(G[ij[0]]), leading_exponent(G[ij[1]]))
-            )
-        )
-        i, j = pairs.pop(0)
-        h = mora_normal_form(_spoly(G[i], G[j]), G)
+        deg, _, i, j = heapq.heappop(pairs)
+        if corner is not None and deg >= corner:
+            break  # every pair left has lcm degree >= N, and N only falls
+        h = mora_normal_form(_spoly(G[i], leads[i], G[j], leads[j]), G, corner)
         if h:
-            lc = h[leading_exponent(h)]
-            h = {e: c / lc for e, c in h.items()}
-            G.append(h)
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+            add(h)
+            for k in range(len(G) - 1):
+                push(k, len(G) - 1)
 
     # minimalize: keep only leading exponents not divisible by another
-    leads = [leading_exponent(g) for g in G]
     keep = []
     for i, le in enumerate(leads):
         dominated = any(
@@ -187,8 +266,8 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         if not dominated:
             keep.append(i)
     basis = tuple(Poly(ideal.vars, G[i]) for i in keep)
-    lexps = tuple(sorted((leads[i] for i in keep), key=order_key, reverse=True))
-    return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps)
+    lexps = tuple(sorted((leads[i] for i in keep), key=order_key))
+    return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner)
 
 
 def quotient_dim(sb: StandardBasis):

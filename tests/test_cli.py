@@ -8,7 +8,7 @@ from jsonschema import validate
 
 from singkit import defspace
 from singkit.cli import main
-from singkit.corpus import TYPE_II_CHAIN, TYPE_III2_DISK
+from singkit.corpus import CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III2_DISK
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -229,6 +229,32 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
     ([{"id": "k", "kind": ["tjurina"]}], "unknown corpus entry kind"),
     ([{"id": "x", "kind": "tjurina", "poly": "x^2", "expected": [1]}],
      "corpus entry 'x': expected must be an object"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK, "model": "cusp"}],
+     "semistable model must be an object"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK, "model": {}}],
+     "unknown semistable model"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK,
+       "model": {"simple_elliptic": {"m": 3}, "cusp": {"m": 3, "s": 1}}}],
+     "unknown semistable model"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK,
+       "model": {"simple_elliptic": 3}}],
+     "semistable model 'simple_elliptic' needs integer 'm'"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK,
+       "model": {"simple_elliptic": {"m": "3"}}}],
+     "semistable model 'simple_elliptic' needs integer 'm'"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK,
+       "model": {"cusp": {"m": 4}}}],
+     "semistable model 'cusp' needs integer 'm' and 's'"),
+    ([{"id": "s", "kind": "semistable", "config": CUBIC_CONE_LINK,
+       "model": {"cusp": {"m": 4, "s": True}}}],
+     "semistable model 'cusp' needs integer 'm' and 's'"),
+    ([{"id": ["a"], "kind": "tjurina", "poly": "x^2"}],
+     "corpus entry 0: id must be a string"),
+    ([{"id": "a", "kind": "tjurina", "poly": "x^2"},
+      {"id": 1, "kind": "tjurina", "poly": "x^2"}],
+     "corpus entry 1: id must be a string"),
+    ([{"id": None, "kind": "tjurina", "poly": "x^2"}],
+     "corpus entry 0: id must be a string"),
 ])
 def test_corpus_malformed_entry_exits_2(tmp_path, capsys, entries, message):
     path = tmp_path / "bad.json"

@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from singkit.localring import (
     INFINITE,
     LocalIdeal,
+    leading_exponent,
     milnor_number,
     mora_normal_form,
     quasi_homogeneous_weights,
@@ -12,6 +15,7 @@ from singkit.localring import (
     stabilized_oracle_dim,
     standard_basis,
     tjurina_number,
+    truncated_dim_oracle,
 )
 from singkit.poly import Poly, parse_polynomial
 
@@ -220,3 +224,164 @@ def test_brieskorn_closed_form(a, b, c, d):
     weights, deg = w
     for exp, wt in zip((a, b, c, d), weights):
         assert exp * wt == deg
+
+
+# ---------------------------------------------------------------- the highest corner
+
+PINNED_GERM = "x^4 + y^4 + z^4 + w^4 + 4*x^2*z + 4*x*y*w^2 + 4*x*w^2"
+
+
+@pytest.mark.parametrize("text,with_f", [
+    (PINNED_GERM, True), (PINNED_GERM, False),
+    ("x^3 + y^3 + z^3 + w^3 + x*y*z*w", True),
+    ("x^2 + y^2 + z^5 - w^5 + z^3*w^3", True),
+    ("x^2 + y^2 + z^2 + w^8", False),
+])
+def test_corner_is_the_least_degree_inside_the_ideal(text, with_f):
+    # the oracle, independent of the standard basis: equal dimensions at N
+    # and N+1 mean m^N lies in I + m^(N+1), hence in I (Nakayama); and a
+    # smaller dimension at N-1 means m^(N-1) does not lie in I
+    ideal = jacobian_ideal(P(text), with_f)
+    sb = standard_basis(ideal)
+    n = sb.corner
+    assert truncated_dim_oracle(ideal, n) == truncated_dim_oracle(ideal, n + 1) == quotient_dim(sb)
+    assert truncated_dim_oracle(ideal, n - 1) < quotient_dim(sb)
+
+
+def test_pure_power_lead_of_degree_corner_is_kept():
+    sb = standard_basis(LocalIdeal(XYZW, [P("x"), P("y"), P("z"), P("w^5")]))
+    assert sb.corner == 5
+    assert "w^5" in [str(b) for b in sb.basis]
+    assert quotient_dim(sb) == 5
+
+
+def test_non_isolated_ideal_has_no_corner():
+    sb = standard_basis(jacobian_ideal(P("x^2 + y^2"), with_f=True))
+    assert sb.corner is None
+    assert quotient_dim(sb) == INFINITE
+
+
+def _random_member(gens, rng):
+    """A random combination sum c_i * m_i * g_i of the generators."""
+    h = Poly.zero(XYZW)
+    for g in gens:
+        mono = Poly.const(XYZW, rng.randint(-3, 3))
+        for name in XYZW:
+            mono = mono * Poly.var(XYZW, name) ** rng.randint(0, 2)
+        h = h + mono * g
+    return h
+
+
+@pytest.mark.parametrize("text", [
+    "x^3 + y^3 + z^3 + w^3 + x*y*z*w", "x^2 + y^2 + z^5 - w^5 + z^3*w^3",
+])
+def test_ideal_members_reduce_to_zero_against_basis_truncated_mid_run(text):
+    ideal = jacobian_ideal(P(text), with_f=True)
+    sb = standard_basis(ideal)
+    # the generators' own leads certify a larger degree: the corner fell
+    # during the run, and the generator tails of degree >= corner were cut
+    leads = [leading_exponent(g.terms) for g in ideal.generators]
+    monomials = LocalIdeal(XYZW, [Poly(XYZW, {e: 1}) for e in leads])
+    assert standard_basis(monomials).corner > sb.corner
+    assert max(g.total_degree() for g in ideal.generators) >= sb.corner
+    for b in sb.basis:
+        lead = leading_exponent(b.terms)
+        assert all(sum(e) < sb.corner or e == lead for e in b.terms)
+    basis = [dict(b.terms) for b in sb.basis]
+    rng = random.Random(23)
+    for _ in range(15):
+        h = _random_member(ideal.generators, rng)
+        if h.is_zero():
+            continue
+        assert not mora_normal_form(dict(h.terms), basis)
+        assert not mora_normal_form(dict(h.terms), basis, bound=sb.corner)
+
+
+# ---------------------------------------------------------------- theorem-based properties
+
+
+def _monomial(vars, exps):
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e)
+
+
+def _random_plane_germ(vars, rng):
+    """x^a + y^b plus two random monomials of degree 2..6: often not
+    quasi-homogeneous, sometimes not isolated."""
+    a, b = rng.randint(2, 6), rng.randint(2, 6)
+    terms = [f"{vars[0]}^{a}", f"{vars[1]}^{b}"]
+    for _ in range(2):
+        d = rng.randint(2, 6)
+        i = rng.randint(0, d)
+        terms.append(f"{rng.randint(1, 3)}*{_monomial(vars, (i, d - i))}")
+    return " + ".join(terms)
+
+
+def test_tau_at_most_mu_and_milnor_orlik():
+    # x^a + y^b + z^c + w^d plus two monomials of Fermat-weighted degree
+    # above 1: mu is prod(a_i - 1) (Milnor-Orlik), and tau <= mu
+    rng = random.Random(3)
+    for _ in range(12):
+        a = [rng.randint(2, 5) for _ in XYZW]
+        extra = []
+        while len(extra) < 2:
+            e = tuple(rng.randint(0, ai) for ai in a)
+            if 1 < sum(Fraction(x, ai) for x, ai in zip(e, a)) and _monomial(XYZW, e) not in extra:
+                extra.append(_monomial(XYZW, e))
+        text = " + ".join([_monomial(XYZW, [ai if j == i else 0 for j in range(4)])
+                           for i, ai in enumerate(a)]
+                          + [f"{rng.randint(1, 3)}*{m}" for m in extra])
+        f = P(text)
+        mu = milnor_number(f)
+        assert mu == math.prod(ai - 1 for ai in a), text
+        assert tjurina_number(f) <= mu, text
+
+
+def test_thom_sebastiani():
+    # mu(f(x,y) + g(z,w)) = mu(f) * mu(g), infinite when either factor is
+    rng = random.Random(4)
+    xy, zw = ("x", "y"), ("z", "w")
+    for _ in range(10):
+        f, g = _random_plane_germ(xy, rng), _random_plane_germ(zw, rng)
+        mu_f = milnor_number(parse_polynomial(f, xy))
+        mu_g = milnor_number(parse_polynomial(g, zw))
+        assert milnor_number(P(f"{f} + {g}")) == mu_f * mu_g, (f, g)
+
+
+def test_tau_of_suspension():
+    # tau(x^2 + y^2 + g(z,w)) = tau(g)
+    rng = random.Random(5)
+    zw = ("z", "w")
+    for _ in range(10):
+        g = _random_plane_germ(zw, rng)
+        assert tjurina_number(P(f"x^2 + y^2 + {g}")) == tjurina_number(
+            parse_polynomial(g, zw)), g
+
+
+def _seven_term_germs(rng, count):
+    """x^a + y^b + z^c + w^d with a..d in 4..6, plus three mixed monomials
+    of degree 4..6 with coefficients 1..4."""
+    out = []
+    for _ in range(count):
+        terms = [_monomial(XYZW, [rng.randint(4, 6) if j == i else 0 for j in range(4)])
+                 for i in range(4)]
+        mixed = set()
+        while len(mixed) < 3:
+            d = rng.randint(4, 6)
+            cuts = sorted(rng.randint(0, d) for _ in range(3))
+            e = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2])
+            if sum(1 for x in e if x) > 1 and e not in mixed:
+                mixed.add(e)
+                terms.append(f"{rng.randint(1, 4)}*{_monomial(XYZW, e)}")
+        out.append(" + ".join(terms))
+    return out
+
+
+def test_seven_term_germs_agree_with_oracle():
+    # the oracle is the expensive side here (about 2 s for these four)
+    for text in _seven_term_germs(random.Random(1), 4):
+        f = P(text)
+        try:
+            dim, _ = stabilized_oracle_dim(jacobian_ideal(f, with_f=True))
+        except ValueError:
+            continue  # no stabilization below cutoff 40
+        assert tjurina_number(f) == dim, text
