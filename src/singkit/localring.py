@@ -25,6 +25,14 @@ d >= N; Nakayama's lemma gives m^N inside I.  So terms of degree >= N are
 zero modulo I and the standard basis computation drops them: no oracle
 is needed to certify the truncation.
 
+Colengths are counted on the staircase of the leading ideal, not by
+enumerating monomials.  For consecutive cut points a < b among the first
+exponents of the leads, the monomials outside with first exponent in
+[a, b) are b - a copies of those outside the leads with first exponent
+<= a, projected away from the first variable.  One recursive walk
+(`_staircase`) gives the colength and the largest degree outside (the
+highest corner); its cost depends on the leads, not on the colength.
+
 Internally polynomials are handled as raw {exponent-tuple: Fraction}
 dicts for speed; the public surface accepts and returns Poly objects.
 """
@@ -127,23 +135,25 @@ def _spoly(f, lf, g, lg):
     return out
 
 
-def _top_degree(leads, nvars):
-    """Largest total degree of a monomial in `nvars` variables that no
-    exponent in `leads` divides: -1 when there is none, None when there
-    are infinitely many.  Splits on the exponent of the first variable."""
+def _staircase(leads, nvars):
+    """(count, top) of the monomials in `nvars` variables that no exponent
+    in `leads` divides: their number and largest total degree (top -1 when
+    there is none), or (None, None) when there are infinitely many.  Cuts
+    at the exponents of the first variable, see the module docstring."""
     if any(not any(e) for e in leads):
-        return -1
+        return 0, -1
     if not leads:
-        return None if nvars else 0
-    top = -1
+        return (None, None) if nvars else (1, 0)
+    count, top = 0, -1
     cuts = sorted({0, *(e[0] for e in leads)})
     for a, b in zip(cuts, cuts[1:] + [None]):
-        sub = _top_degree([e[1:] for e in leads if e[0] <= a], nvars - 1)
-        if sub is None or (b is None and sub >= 0):
-            return None
-        if sub >= 0:
-            top = max(top, b - 1 + sub)
-    return top
+        sub, sub_top = _staircase([e[1:] for e in leads if e[0] <= a], nvars - 1)
+        if sub is None or (b is None and sub):
+            return None, None
+        if sub:
+            count += (b - a) * sub
+            top = max(top, b - 1 + sub_top)
+    return count, top
 
 
 # -- ideals and standard bases -------------------------------------------------
@@ -229,7 +239,7 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         leads.append(lead)
         # the leads can only become a full staircase when a pure power arrives
         if corner is not None or sum(map(bool, lead)) == 1:
-            top = _top_degree(leads, n)
+            top = _staircase(leads, n)[1]
             if top is not None and top + 1 != corner:
                 corner = top + 1
                 G[:] = [_truncate(gk, corner, lk) for gk, lk in zip(G, leads)]
@@ -272,21 +282,10 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
 
 def quotient_dim(sb: StandardBasis):
     """Vector-space dimension of local ring / ideal: the number of
-    monomials outside the leading ideal.  INFINITE when some variable
-    has no pure power among the leading exponents."""
-    n = len(sb.vars)
-    leads = sb.leading_exponents
-    bounds = []
-    for i in range(n):
-        pure = [e[i] for e in leads if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(le, exps) for le in leads):
-            count += 1
-    return count
+    monomials outside the leading ideal, counted on its staircase.
+    INFINITE when some variable has no pure power among the leads."""
+    count = _staircase(sb.leading_exponents, len(sb.vars))[0]
+    return INFINITE if count is None else count
 
 
 # -- the classical invariants ---------------------------------------------------

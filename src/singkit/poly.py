@@ -175,6 +175,10 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self.terms) == 1:
+            # one term needs no expansion, so x^99999999 costs nothing
+            ((e, c),) = self.terms.items()
+            return Poly(self.vars, {tuple(k * x for x in e): c ** k})
         out = Poly.const(self.vars, 1)
         for _ in range(k):
             out = out * self

@@ -306,3 +306,14 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["tau"] == 3
+
+
+def test_tjurina_of_huge_pure_power_is_fast():
+    # a one-term power is not expanded by repeated multiplication, and the
+    # colength is counted without enumerating 10^8 monomials
+    proc = subprocess.run(
+        [sys.executable, "-m", "singkit.cli", "tjurina", "x^2+y^2+z^2+w^99999999"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"]["tau"] == 99999998

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -385,3 +386,67 @@ def test_seven_term_germs_agree_with_oracle():
         except ValueError:
             continue  # no stabilization below cutoff 40
         assert tjurina_number(f) == dim, text
+
+
+# ---------------------------------------------------------------- staircase counting
+
+
+def _box_count_and_top(leads, nvars):
+    """Brute force: enumerate the box below the pure powers and test every
+    monomial in it against every lead.  (count, top degree) of the
+    monomials outside, top -1 when there is none; (INFINITE, None) when
+    some variable has no pure power."""
+    bounds = []
+    for i in range(nvars):
+        pure = [e[i] for e in leads if not any(x for j, x in enumerate(e) if j != i)]
+        if not pure:
+            return INFINITE, None
+        bounds.append(min(pure))
+    outside = [m for m in itertools.product(*(range(b) for b in bounds))
+               if not any(all(a <= b for a, b in zip(e, m)) for e in leads)]
+    return len(outside), max(map(sum, outside), default=-1)
+
+
+def _random_monomial_ideal(nvars, rng, all_pure_powers):
+    """Pure powers of degree 1..6 (all of them, or all but one) plus up to
+    five mixed monomials with exponents 0..5, in arbitrary order."""
+    leads = []
+    missing = None if all_pure_powers else rng.randrange(nvars)
+    for i in range(nvars):
+        if i != missing:
+            leads.append(tuple(rng.randint(1, 6) if j == i else 0 for j in range(nvars)))
+    for _ in range(rng.randint(0, 5) if nvars > 1 else 0):
+        e = tuple(rng.randint(0, 5) for _ in range(nvars))
+        if sum(map(bool, e)) > 1:
+            leads.append(e)
+    rng.shuffle(leads)
+    return leads
+
+
+# one variable without its pure power would be the zero ideal
+@pytest.mark.parametrize("nvars,all_pure_powers", [
+    (1, True), (2, True), (3, True), (4, True), (2, False), (3, False), (4, False)])
+def test_staircase_count_and_corner_match_box_enumeration(nvars, all_pure_powers):
+    rng = random.Random(100 * nvars + all_pure_powers)
+    vars = XYZW[:nvars]
+    for _ in range(40):
+        leads = _random_monomial_ideal(nvars, rng, all_pure_powers)
+        sb = standard_basis(LocalIdeal(vars, [Poly(vars, {e: 1}) for e in leads]))
+        count, top = _box_count_and_top(leads, nvars)
+        assert quotient_dim(sb) == count, leads
+        assert sb.corner == (None if top is None else top + 1), leads
+        if not all_pure_powers:
+            assert count == INFINITE
+
+
+@pytest.mark.parametrize("text", [t for t, _ in TAU_TABLE] + [
+    PINNED_GERM, "x^2 + y^2", "x^2 * y^2", "x^3 + y^2*z + w^2"])
+@pytest.mark.parametrize("with_f", [True, False])
+def test_quotient_dim_infinite_iff_no_corner(text, with_f):
+    sb = standard_basis(jacobian_ideal(P(text), with_f))
+    assert (quotient_dim(sb) == INFINITE) == (sb.corner is None)
+
+
+def test_fermat_of_degree_40_counts_without_enumeration():
+    f = P("x^40 + y^40 + z^40 + w^40")
+    assert tjurina_number(f) == milnor_number(f) == 39 ** 4

@@ -143,6 +143,20 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_polys(), st.integers(0, 5))
+def test_power_is_repeated_multiplication(p, k):
+    expected = Poly.const(p.vars, 1)
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected
+
+
+def test_power_of_a_monomial_is_not_expanded():
+    assert P("(-2/3*x*y^2)^3") == P("-8/27*x^3*y^6")
+    assert P("x^99999999").terms == {(99999999, 0, 0, 0): 1}
+
+
+@settings(max_examples=100, deadline=None)
 @given(_polys())
 def test_no_stored_zero_coefficients(p):
     assert all(c != 0 for c in p.terms.values())
