@@ -25,6 +25,27 @@ d >= N; Nakayama's lemma gives m^N inside I.  So terms of degree >= N are
 zero modulo I and the standard basis computation drops them: no oracle
 is needed to certify the truncation.
 
+Most S-pairs reduce to zero, and two criteria skip them unreduced
+(Buchberger; Gebauer-Moeller 1988; Greuel-Pfister 1.7 and 2.5).  The
+product criterion: let f = a + t_f and g = b + t_g be monic with leading
+monomials a, b and tails t_f, t_g.  Then spoly(f, g) = b*f - a*g =
+b*t_f - a*t_g = t_f*g - t_g*f exactly.  When a and b are coprime and
+LM(t_f)*b != LM(t_g)*a, the two products have different leading
+monomials, so the leading monomial of the difference is the larger one
+and this is a standard representation: the pair needs no normal form.
+An empty tail makes one product zero, which is a standard representation
+too.  Under a global order LM(t_f) < a rules out LM(t_f)*b = LM(t_g)*a
+for coprime a, b; under a local order a tail can be divisible by its own
+lead (x + x^2), the two products can cancel, and the criterion fails, so
+that case keeps its pair.  The chain criterion: when some lead LM(h)
+divides lcm(a, b) and the pairs (f, h) and (g, h) were both taken from
+the queue earlier, spoly(f, g) is a monomial combination of spoly(f, h)
+and spoly(g, h) whose terms lie below lcm(a, b), and those two already
+have such representations, so the pair is skipped.  Truncation keeps
+both sound: a tail cut at the corner N differs from the element by
+terms in m^N, which lies in the ideal, so every cut element is still in
+the ideal and the representations above are representations in it.
+
 Colengths are counted on the staircase of the leading ideal, not by
 enumerating monomials.  For consecutive cut points a < b among the first
 exponents of the leads, the monomials outside with first exponent in
@@ -135,6 +156,17 @@ def _spoly(f, lf, g, lg):
     return out
 
 
+def _product_criterion(f, lf, g, lg):
+    """True when spoly(f, g) of the monic f and g is the standard
+    representation t_f*g - t_g*f (see the module docstring)."""
+    if any(a and b for a, b in zip(lf, lg)):
+        return False
+    tf = min((e for e in f if e != lf), key=order_key, default=None)
+    tg = min((e for e in g if e != lg), key=order_key, default=None)
+    return (tf is None or tg is None
+            or tuple(map(operator.add, tf, lg)) != tuple(map(operator.add, tg, lf)))
+
+
 def _staircase(leads, nvars):
     """(count, top) of the monomials in `nvars` variables that no exponent
     in `leads` divides: their number and largest total degree (top -1 when
@@ -196,6 +228,12 @@ class StandardBasis:
     # degree of the highest corner; None when infinitely many monomials
     # lie outside the leading ideal (some variable has no pure power)
     corner: int | None = None
+    # how the pairs went: normal forms run, pairs skipped by the product
+    # and by the chain criterion, and pairs left at the corner unpopped
+    normal_forms: int = 0
+    product_skips: int = 0
+    chain_skips: int = 0
+    left_at_corner: int = 0
 
     @property
     def vars(self):
@@ -225,6 +263,10 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
     exponents arrive, and the final N is recorded as `corner`: the least N
     with m^N inside the ideal.  Until every variable has a pure power,
     which for a non-isolated ideal is never, nothing is truncated.
+
+    Pairs that the product or the chain criterion settles are skipped
+    without a normal form; the module docstring proves both for the local
+    order and for truncated elements.
     """
     n = len(ideal.vars)
     G, leads = [], []
@@ -254,11 +296,26 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         add(dict(g.terms))
     for i, j in itertools.combinations(range(len(G)), 2):
         push(i, j)
+    popped = set()          # pairs (i, j), i < j, taken from the heap
+    normal_forms = product_skips = chain_skips = left_at_corner = 0
     # cheapest-lcm-first selection, ties in the order the pairs arose
     while pairs:
         deg, _, i, j = heapq.heappop(pairs)
         if corner is not None and deg >= corner:
-            break  # every pair left has lcm degree >= N, and N only falls
+            # every pair left has lcm degree >= N, and N only falls
+            left_at_corner = len(pairs) + 1
+            break
+        popped.add((i, j))
+        if _product_criterion(G[i], leads[i], G[j], leads[j]):
+            product_skips += 1
+            continue
+        lcm = tuple(map(max, leads[i], leads[j]))
+        if any(k != i and k != j and _divides(leads[k], lcm)
+               and (min(i, k), max(i, k)) in popped and (min(j, k), max(j, k)) in popped
+               for k in range(len(G))):
+            chain_skips += 1
+            continue
+        normal_forms += 1
         h = mora_normal_form(_spoly(G[i], leads[i], G[j], leads[j]), G, corner)
         if h:
             add(h)
@@ -277,7 +334,9 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
             keep.append(i)
     basis = tuple(Poly(ideal.vars, G[i]) for i in keep)
     lexps = tuple(sorted((leads[i] for i in keep), key=order_key))
-    return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner)
+    return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner,
+                         normal_forms=normal_forms, product_skips=product_skips,
+                         chain_skips=chain_skips, left_at_corner=left_at_corner)
 
 
 def quotient_dim(sb: StandardBasis):
@@ -294,30 +353,41 @@ def _jacobian_gens(f: Poly):
     return [f.differentiate(v) for v in f.vars]
 
 
+def _misses_an_axis(gens, nvars):
+    """True when some variable x_j is a pure power in no term of any
+    generator.  Every generator then vanishes on the x_j-axis, so the
+    ideal lies in the ideal of that axis and its colength is infinite."""
+    axes = {next(i for i, a in enumerate(e) if a)
+            for g in gens for e in g.terms if sum(map(bool, e)) == 1}
+    return len(axes) < nvars
+
+
+def _germ_colength(f: Poly, gens, name):
+    """Colength of the ideal of the nonzero `gens` built from the germ f:
+    0 when one of them is a unit, INFINITE when they all vanish on a
+    coordinate axis, else counted on a standard basis."""
+    if f.is_zero():
+        raise ValueError(f"{name} of the zero polynomial is undefined")
+    if f.constant_term():
+        raise ValueError("germ must vanish at the origin")
+    gens = [g for g in gens if not g.is_zero()]
+    if any(g.constant_term() for g in gens):
+        return 0  # unit partial derivative: smooth point
+    if _misses_an_axis(gens, len(f.vars)):
+        return INFINITE
+    return quotient_dim(standard_basis(LocalIdeal(f.vars, gens)))
+
+
 def milnor_number(f: Poly):
     """Colength of the gradient ideal; INFINITE for a non-isolated
     critical point, 0 for a smooth point of f - f(0)."""
-    if f.is_zero():
-        raise ValueError("Milnor number of the zero polynomial is undefined")
-    if f.constant_term():
-        raise ValueError("germ must vanish at the origin")
-    gens = [g for g in _jacobian_gens(f) if not g.is_zero()]
-    if any(g.constant_term() for g in gens):
-        return 0  # unit partial derivative: smooth point
-    return quotient_dim(standard_basis(LocalIdeal(f.vars, gens)))
+    return _germ_colength(f, _jacobian_gens(f), "Milnor number")
 
 
 def tjurina_number(f: Poly):
     """Colength of (f) + gradient ideal; INFINITE for non-isolated
     singularities, 0 for smooth points."""
-    if f.is_zero():
-        raise ValueError("Tjurina number of the zero polynomial is undefined")
-    if f.constant_term():
-        raise ValueError("germ must vanish at the origin")
-    gens = [g for g in [f] + _jacobian_gens(f) if not g.is_zero()]
-    if any(g.constant_term() for g in gens):
-        return 0
-    return quotient_dim(standard_basis(LocalIdeal(f.vars, gens)))
+    return _germ_colength(f, [f] + _jacobian_gens(f), "Tjurina number")
 
 
 # -- truncated linear-algebra oracle --------------------------------------------
@@ -340,22 +410,20 @@ def _monomials_below(nvars, cutoff):
     return out
 
 
-def truncated_dim_oracle(ideal: LocalIdeal, cutoff: int) -> int:
-    """dim of local ring / (ideal + m^cutoff) by exact rank over Q.
-
-    Independent of the standard-basis machinery: spans the image of the
-    ideal inside the monomial basis of degrees < cutoff and subtracts its
-    rank.  For zero-dimensional ideals the value stabilizes (in cutoff)
-    at the true colength.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+def _oracle_gaps(ideal: LocalIdeal, cutoff: int):
+    """Per degree d < cutoff: the number of monomials of degree d minus
+    the number of pivots of degree d, after eliminating the image of the
+    ideal in the monomials of degree < cutoff with the lowest column as
+    pivot.  The columns are graded, so a pivot row has no term below its
+    pivot's degree, and the gaps below any N <= cutoff sum to
+    dim R / (I + m^N): cutting every row at N keeps exactly the pivot
+    rows of degree < N independent and sends the others to zero, and the
+    rows cut at N are those of the elimination at N."""
     nvars = len(ideal.vars)
     mons = _monomials_below(nvars, cutoff)
     index = {e: i for i, e in enumerate(mons)}
 
     pivots = {}
-    rank = 0
     for g in ideal.generators:
         gterms = g.terms
         gord = g.order_at_origin()
@@ -373,7 +441,6 @@ def truncated_dim_oracle(ideal: LocalIdeal, cutoff: int) -> int:
                 if piv is None:
                     inv = Fraction(1) / row[col]
                     pivots[col] = {k: v * inv for k, v in row.items()}
-                    rank += 1
                     break
                 c = row[col]
                 for k, v in piv.items():
@@ -382,23 +449,45 @@ def truncated_dim_oracle(ideal: LocalIdeal, cutoff: int) -> int:
                         row[k] = s
                     else:
                         row.pop(k, None)
-    return len(mons) - rank
+    gaps = [math.comb(d + nvars - 1, nvars - 1) for d in range(cutoff)]
+    for col in pivots:
+        gaps[sum(mons[col])] -= 1
+    return gaps
+
+
+def truncated_dim_oracle(ideal: LocalIdeal, cutoff: int) -> int:
+    """dim of local ring / (ideal + m^cutoff) by exact rank over Q.
+
+    Independent of the standard-basis machinery: spans the image of the
+    ideal inside the monomial basis of degrees < cutoff and subtracts its
+    rank.  For zero-dimensional ideals the value stabilizes (in cutoff)
+    at the true colength.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return sum(_oracle_gaps(ideal, cutoff))
 
 
 def stabilized_oracle_dim(ideal: LocalIdeal, start: int | None = None, limit: int = 40):
     """First stabilized value of the truncated oracle: the dimension at
     two consecutive cutoffs N, N+1 that agree, N at least max generator
-    degree + 2.  Returns (dim, N)."""
+    degree + 2 and N < limit.  Returns (dim, N).
+
+    One elimination at cutoff C gives the dimension at every N <= C
+    (`_oracle_gaps`), so each cutoff C = start + 1, start + 2, ... decides
+    N = C - 1 alone: it stabilizes when the gap of degree C - 1 is zero.
+    C grows by one, up to limit: an elimination costs two to four times
+    as much per degree, so overshooting N + 1 would cost more than all
+    the smaller cutoffs together.
+    """
     if start is None:
         start = max(g.total_degree() for g in ideal.generators) + 2
-    prev = truncated_dim_oracle(ideal, start)
-    n = start
-    while n < limit:
-        nxt = truncated_dim_oracle(ideal, n + 1)
-        if nxt == prev:
-            return prev, n
-        prev = nxt
-        n += 1
+    if start < 1:
+        raise ValueError("cutoff must be >= 1")
+    for cutoff in range(start + 1, limit + 1):
+        gaps = _oracle_gaps(ideal, cutoff)
+        if not gaps[-1]:
+            return sum(gaps), cutoff - 1
     raise ValueError(f"no stabilization up to cutoff {limit} (non-isolated?)")
 
 

@@ -8,6 +8,8 @@ import pytest
 from singkit.localring import (
     INFINITE,
     LocalIdeal,
+    _misses_an_axis,
+    _product_criterion,
     leading_exponent,
     milnor_number,
     mora_normal_form,
@@ -305,13 +307,13 @@ def _monomial(vars, exps):
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e)
 
 
-def _random_plane_germ(vars, rng):
-    """x^a + y^b plus two random monomials of degree 2..6: often not
+def _random_plane_germ(vars, rng, extra=2, top=6):
+    """x^a + y^b plus `extra` random monomials of degree 2..top: often not
     quasi-homogeneous, sometimes not isolated."""
     a, b = rng.randint(2, 6), rng.randint(2, 6)
     terms = [f"{vars[0]}^{a}", f"{vars[1]}^{b}"]
-    for _ in range(2):
-        d = rng.randint(2, 6)
+    for _ in range(extra):
+        d = rng.randint(2, top)
         i = rng.randint(0, d)
         terms.append(f"{rng.randint(1, 3)}*{_monomial(vars, (i, d - i))}")
     return " + ".join(terms)
@@ -450,3 +452,228 @@ def test_quotient_dim_infinite_iff_no_corner(text, with_f):
 def test_fermat_of_degree_40_counts_without_enumeration():
     f = P("x^40 + y^40 + z^40 + w^40")
     assert tjurina_number(f) == milnor_number(f) == 39 ** 4
+
+
+# ---------------------------------------------------------------- pair criteria
+# The next four tests ran past 10 s before the pair criteria: the normal
+# form of an S-pair with coprime leads never returned.
+
+def test_thom_sebastiani_reproducer_of_the_pre_corner_cliff():
+    f, g = "x^3 + y^2 + 2*x^4*y^3 + 2*x*y^2 + x^2*y^2", "z^6 + w^4 + 3*z^6*w + z*w^2 + z^2*w^3"
+    assert milnor_number(parse_polynomial(f, ("x", "y"))) == 2
+    assert milnor_number(parse_polynomial(g, ("z", "w"))) == 7
+    assert milnor_number(P(f"{f} + {g}")) == 14
+
+
+def _linear_change(f, rows):
+    """f with x_i replaced by sum_j rows[i][j] * x_j."""
+    vars = f.vars
+    return f.substitute({v: sum((Poly.const(vars, c) * Poly.var(vars, u)
+                                 for c, u in zip(row, vars)), Poly.zero(vars))
+                         for v, row in zip(vars, rows)})
+
+
+def test_d5_coordinate_change_reproducer_of_the_pre_corner_cliff():
+    xyz = ("x", "y", "z")
+    d5 = parse_polynomial("x^2 + y^2*z + z^4", xyz)
+    h = _linear_change(d5, [(1, Fraction(1, 2), -2), (-2, 1, -1), (2, -2, 2)])
+    assert h == parse_polynomial(
+        "16*x^4 - 64*x^3*y + 64*x^3*z + 96*x^2*y^2 - 192*x^2*y*z + 96*x^2*z^2"
+        " - 64*x*y^3 + 192*x*y^2*z - 192*x*y*z^2 + 64*x*z^3 + 16*y^4 - 64*y^3*z"
+        " + 96*y^2*z^2 - 64*y*z^3 + 16*z^4 + 8*x^3 - 16*x^2*y + 16*x^2*z + 10*x*y^2"
+        " - 20*x*y*z + 10*x*z^2 - 2*y^3 + 6*y^2*z - 6*y*z^2 + 2*z^3 + x^2 + x*y"
+        " - 4*x*z + 1/4*y^2 - 2*y*z + 4*z^2", xyz)
+    assert milnor_number(d5) == milnor_number(h) == 5
+
+
+def test_thom_sebastiani_with_three_extra_monomials():
+    # as test_thom_sebastiani, with three extra monomials of degree up to 7
+    # per factor; four of these ten sums used to hang
+    rng = random.Random(4)
+    xy, zw = ("x", "y"), ("z", "w")
+    for _ in range(10):
+        f, g = _random_plane_germ(xy, rng, 3, 7), _random_plane_germ(zw, rng, 3, 7)
+        mu_f = milnor_number(parse_polynomial(f, xy))
+        mu_g = milnor_number(parse_polynomial(g, zw))
+        assert milnor_number(P(f"{f} + {g}")) == mu_f * mu_g, (f, g)
+
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
+
+
+@pytest.mark.parametrize("text,mu,tau", [
+    ("x^4 + y^2 + z^2", 3, 3), ("x^2*y + y^3 + z^2", 4, 4), ("x^2 + y^2*z + z^4", 5, 5),
+    ("x^3 + y^4 + z^2", 6, 6), ("x^3 + x*y^3 + z^2", 7, 7), ("x^3 + y^5 + z^2", 8, 8),
+    ("x^2 + y^3 + z^2*w + w^4", 10, 10), ("x^2 + y^2 + z^2 + w^6", 5, 5),
+    ("x^3 + y^3 + z^3 + w^3 + x*y*z*w", 16, 15),
+    ("x^2 + y^2 + z^5 - w^5 + z^3*w^3", 16, 15),
+])
+def test_coordinate_invariance(text, mu, tau):
+    # mu and tau of known germs survive seeded rational linear changes
+    vars = XYZW if "w" in text else ("x", "y", "z")
+    f = parse_polynomial(text, vars)
+    rng = random.Random(text)
+    for _ in range(2):
+        while True:
+            rows = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in vars]
+                    for _ in vars]
+            if _det(rows):
+                break
+        h = _linear_change(f, rows)
+        assert (milnor_number(h), tjurina_number(h)) == (mu, tau), rows
+
+
+def test_product_criterion_guard_keeps_the_pair():
+    # leads x, y are coprime, but the tails lead with x*z and y*z, so
+    # LM(t_f)*y = LM(t_g)*x = x*y*z and the two products cancel:
+    # spoly = y^4 - x^4 is not the difference of the two products' leads
+    xyz = ("x", "y", "z")
+    f, g = parse_polynomial("x + x*z + y^3", xyz), parse_polynomial("y + y*z + x^3", xyz)
+    lf, lg = (1, 0, 0), (0, 1, 0)
+    assert not _product_criterion(dict(f.terms), lf, dict(g.terms), lg)
+    ideal = LocalIdeal(xyz, [f, g, parse_polynomial("z^6", xyz)])
+    sb = standard_basis(ideal)
+    # (f, g) is reduced; (f, z^6) and (g, z^6) have lcm degree 7 > corner 6
+    counts = (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner)
+    assert counts == (1, 0, 0, 2)
+    assert quotient_dim(sb) == stabilized_oracle_dim(ideal)[0]
+
+
+def test_product_criterion_skips_coprime_leads_with_distinct_tail_products():
+    xyz = ("x", "y", "z")
+    f, g = dict(P("x + y^2", xyz).terms), dict(P("y + 2*x*z", xyz).terms)
+    assert _product_criterion(f, (1, 0, 0), g, (0, 1, 0))
+    assert not _product_criterion(f, (1, 0, 0), dict(P("x*y + z^3", xyz).terms), (1, 1, 0))
+
+
+def _random_isolated_ideal(vars, rng):
+    """A pure power of every variable, with a random tail, plus two or
+    three generators of which about a third are m + c*m*x_i + higher
+    terms: lead-in-tail elements."""
+    n = len(vars)
+    gens = []
+    for i in range(n):
+        g = {tuple(rng.randint(2, 5) if j == i else 0 for j in range(n)): 1}
+        e = tuple(rng.randint(0, 3) for _ in range(n))
+        if sum(e) > max(map(sum, g)):
+            g[e] = rng.choice((1, -1, 2))
+        gens.append(g)
+    for _ in range(rng.randint(2, 3)):
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        if not any(m):
+            m = tuple(j == 0 for j in range(n))
+        g = {m: rng.choice((1, 2, -3))}
+        if rng.random() < 0.35:
+            i = rng.randrange(n)
+            g[tuple(a + (j == i) for j, a in enumerate(m))] = rng.choice((1, -1, 2))
+        for _ in range(rng.randint(0, 2)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if sum(e) > sum(m):
+                g[e] = g.get(e, 0) + rng.choice((1, -2, 3))
+        gens.append({e: c for e, c in g.items() if c})
+    rng.shuffle(gens)
+    return LocalIdeal(vars, [Poly(vars, g) for g in gens])
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_random_isolated_ideals_agree_with_oracle(nvars):
+    rng = random.Random(60 + nvars)
+    vars = XYZW[:nvars]
+    for _ in range(15 if nvars == 2 else 8):
+        ideal = _random_isolated_ideal(vars, rng)
+        assert quotient_dim(standard_basis(ideal)) == stabilized_oracle_dim(ideal)[0], ideal
+
+
+def test_brieskorn_milnor_ideal_runs_no_normal_form():
+    # monomial generators: every tail is empty, every pair is skipped
+    sb = standard_basis(jacobian_ideal(P("x^2 + y^3 + z^4 + w^5")))
+    # five pairs are skipped; (z^3, w^4) has lcm degree 7 = corner
+    counts = (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner)
+    assert counts == (0, 5, 0, 1)
+    assert quotient_dim(sb) == 24
+
+
+def test_pinned_germ_takes_every_pair_outcome():
+    sb = standard_basis(jacobian_ideal(P(PINNED_GERM), with_f=True))
+    assert min(sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner) > 0
+
+
+def _vanishes_on_an_axis(gens, vars):
+    """Brute force: some x_j such that every generator is zero after
+    setting the other variables to 0."""
+    return any(all(g.substitute({u: 0 for u in vars if u != v}).is_zero() for g in gens)
+               for v in vars)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_axis_certificate_against_brute_force(nvars):
+    rng = random.Random(70 + nvars)
+    vars = XYZW[:nvars]
+    fired = finite = 0
+    for _ in range(40):
+        # a pure power of most variables, and two mixed monomials
+        terms = {tuple(rng.randint(2, 5) if j == i else 0 for j in range(nvars)): 1
+                 for i in range(nvars) if rng.random() < 0.8}
+        for _ in range(2):
+            e = tuple(rng.randint(0, 3) for _ in vars)
+            if sum(e) >= 2:
+                terms[e] = rng.choice((1, 2, -1))
+        f = Poly(vars, terms)
+        if f.is_zero():
+            continue
+        for with_f in (True, False):
+            ideal = jacobian_ideal(f, with_f)
+            gens = ideal.generators
+            certified = _misses_an_axis(gens, nvars)
+            assert certified == _vanishes_on_an_axis(gens, vars), f
+            fired += certified
+            start = max(g.total_degree() for g in gens) + 2
+            try:
+                stabilized_oracle_dim(ideal, start, start + 3)
+            except ValueError:
+                continue  # undecided within three cutoffs
+            finite += 1
+            assert not certified, f
+    assert fired and finite, (fired, finite)
+
+
+# ---------------------------------------------------------------- one-pass oracle
+
+
+def _per_cutoff_oracle_dim(ideal, start=None, limit=40):
+    """The oracle's former route: one elimination per cutoff."""
+    if start is None:
+        start = max(g.total_degree() for g in ideal.generators) + 2
+    prev = truncated_dim_oracle(ideal, start)
+    n = start
+    while n < limit:
+        nxt = truncated_dim_oracle(ideal, n + 1)
+        if nxt == prev:
+            return prev, n
+        prev = nxt
+        n += 1
+    raise ValueError(f"no stabilization up to cutoff {limit} (non-isolated?)")
+
+
+@pytest.mark.parametrize("text,with_f,start,limit", [
+    (t, wf, None, 40) for t, _ in TAU_TABLE[:6] for wf in (True, False)] + [
+    (PINNED_GERM, True, None, 40), (PINNED_GERM, False, 2, 40),
+    ("x^2 + y^2 + z^2 + w^8", False, 1, 40), ("x^2 + y^2 + z^2 + w^8", False, 3, 6),
+    ("x^2 + y^2 + z^2 + w^8", False, 3, 3), ("x^2 + y^2 + z^2 + w^8", False, 5, 4),
+    ("x^2 * y^2 + z^2 + w^2", True, None, 9),
+])
+def test_one_pass_oracle_matches_per_cutoff_route(text, with_f, start, limit):
+    ideal = jacobian_ideal(P(text), with_f)
+    try:
+        want = _per_cutoff_oracle_dim(ideal, start, limit)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="no stabilization") as got:
+            stabilized_oracle_dim(ideal, start, limit)
+        assert str(got.value) == str(exc)
+    else:
+        assert stabilized_oracle_dim(ideal, start, limit) == want
