@@ -98,6 +98,8 @@ def _cmd_dc_classify(args):
 
 
 def _cmd_defspace_verify(args):
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be a nonnegative integer, got {args.samples}")
     return _emit("defspace-verify", {"n": args.n, "seed": args.seed},
                  *corpus.defspace({"n": args.n, "samples": args.samples}, seed=args.seed))
 

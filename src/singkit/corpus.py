@@ -299,6 +299,10 @@ def link(inputs, seed=0):
     return results, checks, rep.warnings
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # semistable model key -> (model class, its integer parameters)
 _MODELS = {"simple_elliptic": (dc.SimpleElliptic, ("m",)), "cusp": (dc.Cusp, ("m", "s"))}
 
@@ -312,9 +316,7 @@ def _semistable_model(spec):
                           "give exactly one of 'simple_elliptic' and 'cusp'")
     cls, names = _MODELS[kinds[0]]
     params = spec[kinds[0]]
-    if not isinstance(params, dict) or not all(
-            isinstance(params.get(k), int) and not isinstance(params[k], bool)
-            for k in names):
+    if not isinstance(params, dict) or not all(_is_int(params.get(k)) for k in names):
         raise ConfigError(f"semistable model {kinds[0]!r} needs integer "
                           f"{' and '.join(map(repr, names))}, got {params!r}")
     return cls(**{k: params[k] for k in names})
@@ -418,6 +420,30 @@ _KINDS = {
 }
 
 
+def _is_rational(value):
+    """An integer, or a string such as "-5/4" that reads as a rational."""
+    if _is_int(value):
+        return True
+    if not isinstance(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# entry field -> (what it must be, its test); checked wherever it appears
+_FIELD_TYPES = {
+    "poly": ("a string", lambda v: isinstance(v, str)),
+    "vars": ("a nonempty list of strings",
+             lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v)),
+    "b": ("a list of integers or rational strings",
+          lambda v: isinstance(v, list) and all(map(_is_rational, v))),
+    "samples": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
+}
+
+
 def run_entry(entry, seed=0):
     """The entry's check as corpus reports print it: its id as name, the
     pinned values expected and computed, and whether they agree."""
@@ -431,6 +457,10 @@ def run_entry(entry, seed=0):
     for name in needs:
         if name not in entry:
             raise ConfigError(f"corpus entry {entry['id']!r} needs {name!r}")
+    for name, (want, valid) in _FIELD_TYPES.items():
+        if name in entry and not valid(entry[name]):
+            raise ConfigError(f"corpus entry {entry['id']!r}: {name} must be {want}, "
+                              f"got {entry[name]!r}")
     results, checks, _warnings = op(entry, seed)
     actual = pinned(jsonify(results), jsonify(checks))
     expected = entry.get("expected", {})

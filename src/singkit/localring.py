@@ -54,8 +54,22 @@ exponents of the leads, the monomials outside with first exponent in
 (`_staircase`) gives the colength and the largest degree outside (the
 highest corner); its cost depends on the leads, not on the colength.
 
-Internally polynomials are handled as raw {exponent-tuple: Fraction}
-dicts for speed; the public surface accepts and returns Poly objects.
+The kernel is fraction-free.  Internally polynomials are raw
+{exponent-tuple: int} dicts with coprime coefficients; each generator
+enters as the primitive integer multiple of itself, an S-polynomial is
+(c_g/d)*m_f*f - (c_f/d)*m_g*g with c_f, c_g the leading coefficients and
+d = gcd(c_f, c_g), and a Mora step scales the remainder by c_g/d before
+subtracting (c_h/d)*x^s*g, then divides out the content.  Every such
+polynomial is a nonzero rational multiple of the one the same steps give
+over Q with monic elements, and a nonzero constant is a unit of the local
+ring (Greuel-Pfister 1.6-1.7: a weak normal form is only defined up to a
+unit anyway).  A scalar multiple has the same terms, so the same leading
+exponents, ecarts and tail leads; the product criterion and the chain
+criterion read only those, and the corner reads only the leads.  So the
+pairs, the normal forms that vanish, the elements that enter and the
+corner are those of the rational computation, and making each kept
+element monic at the end gives its basis exactly.  The public surface
+accepts and returns Poly objects over Q.
 """
 
 from __future__ import annotations
@@ -90,6 +104,11 @@ def _lead_ecart(terms):
     return lead, max(map(sum, terms)) - sum(lead)
 
 
+def _entry(terms):
+    """(lead, ecart, terms): what Mora's division reads of a reducer."""
+    return _lead_ecart(terms) + (terms,)
+
+
 def _divides(a, b):
     return all(map(operator.le, a, b))
 
@@ -99,24 +118,42 @@ def _truncate(terms, bound, keep=None):
     return {e: c for e, c in terms.items() if sum(e) < bound or e == keep}
 
 
-def _sub_scaled_shift(h, g, shift, c, bound=None):
-    """h - c * x^shift * g on a fresh dict, dropping shifted terms of
-    total degree >= bound."""
-    out = dict(h)
+def _tail_lead(terms, lead):
+    """Leading exponent of the terms other than `lead`, or None."""
+    return min((e for e in terms if e != lead), key=order_key, default=None)
+
+
+def _primitive(terms):
+    """The primitive integer polynomial that is a positive rational
+    multiple of `terms` (a nonempty dict with int or Fraction values)."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    k = math.gcd(*num.values())
+    return {e: c // k for e, c in num.items()} if k != 1 else num
+
+
+def _sub_shifted(h, c, g, shift, bound=None):
+    """h -= c * x^shift * g in place, dropping shifted terms of total
+    degree >= bound."""
     for e, v in g.items():
-        t = tuple(a + b for a, b in zip(e, shift))
+        t = tuple(map(operator.add, e, shift))
         if bound is not None and sum(t) >= bound:
             continue
-        s = out.get(t, 0) - c * v
+        s = h.get(t, 0) - c * v
         if s:
-            out[t] = s
+            h[t] = s
         else:
-            out.pop(t, None)
-    return out
+            del h[t]
 
 
 def mora_normal_form(f, reducers, bound=None):
-    """Weak normal form of f against the reducer list (raw dicts).
+    """Weak normal form of f against the reducers, up to a unit.
+
+    f is a raw dict with int or Fraction coefficients.  A reducer is such
+    a dict, or the (lead, ecart, terms) entry of a primitive integer
+    polynomial that `standard_basis` keeps.  The result is a primitive
+    integer polynomial: a rational multiple of the weak normal form over
+    Q, with the same terms.
 
     `bound` is a degree N with m^N inside the ideal that the reducers
     generate (see `standard_basis`).  With it, terms of total degree >= N
@@ -124,8 +161,11 @@ def mora_normal_form(f, reducers, bound=None):
     {} as soon as its leading term has degree >= N: every term left then
     lies in m^N.
     """
-    h = dict(f) if bound is None else _truncate(f, bound)
-    pool = [_lead_ecart(g) + (g,) for g in reducers]
+    h = f if bound is None else _truncate(f, bound)
+    if not h:
+        return {}
+    h = _primitive(h)
+    pool = [_entry(_primitive(g)) if isinstance(g, dict) else g for g in reducers]
     while h:
         lh, eh = _lead_ecart(h)
         if bound is not None and sum(lh) >= bound:
@@ -139,30 +179,39 @@ def mora_normal_form(f, reducers, bound=None):
         lg, eg, g = best
         if eg > eh:
             pool.append((lh, eh, dict(h)))
-        shift = tuple(a - b for a, b in zip(lh, lg))
-        h = _sub_scaled_shift(h, g, shift, h[lh] / g[lg], bound)
+        # h <- (c_g/d)*h - (c_h/d)*x^s*g, then divide out the content
+        d = math.gcd(h[lh], g[lg])
+        a, b = g[lg] // d, h[lh] // d
+        if a != 1:
+            for e in h:
+                h[e] *= a
+        _sub_shifted(h, b, g, tuple(map(operator.sub, lh, lg)), bound)
+        k = math.gcd(*h.values())
+        if k != 1:
+            for e in h:
+                h[e] //= k
     return h
 
 
 def _spoly(f, lf, g, lg):
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    out = _sub_scaled_shift(
-        {tuple(a + b for a, b in zip(e, sf)): c / f[lf] for e, c in f.items()},
-        g,
-        tuple(a - b for a, b in zip(lcm, lg)),
-        Fraction(1) / g[lg],
-    )
+    """(c_g/d)*x^(l-lf)*f - (c_f/d)*x^(l-lg)*g for l = lcm(lf, lg), c_f,
+    c_g the leading coefficients and d their gcd: an integer multiple of
+    the S-polynomial of f and g."""
+    lcm = tuple(map(max, lf, lg))
+    d = math.gcd(f[lf], g[lg])
+    a, b = g[lg] // d, f[lf] // d
+    sf = tuple(map(operator.sub, lcm, lf))
+    out = {tuple(map(operator.add, e, sf)): a * c for e, c in f.items()}
+    _sub_shifted(out, b, g, tuple(map(operator.sub, lcm, lg)))
     return out
 
 
-def _product_criterion(f, lf, g, lg):
-    """True when spoly(f, g) of the monic f and g is the standard
-    representation t_f*g - t_g*f (see the module docstring)."""
+def _product_criterion(lf, tf, lg, tg):
+    """True when spoly(f, g) of the elements with leads lf, lg and tail
+    leads tf, tg (None for an empty tail) is the standard representation
+    t_f*g - t_g*f (see the module docstring)."""
     if any(a and b for a, b in zip(lf, lg)):
         return False
-    tf = min((e for e in f if e != lf), key=order_key, default=None)
-    tg = min((e for e in g if e != lg), key=order_key, default=None)
     return (tf is None or tg is None
             or tuple(map(operator.add, tf, lg)) != tuple(map(operator.add, tg, lf)))
 
@@ -228,6 +277,9 @@ class StandardBasis:
     # degree of the highest corner; None when infinitely many monomials
     # lie outside the leading ideal (some variable has no pure power)
     corner: int | None = None
+    # number of monomials outside the leading ideal, from the staircase
+    # walk that set the corner; None when the corner is None
+    colength: int | None = None
     # how the pairs went: normal forms run, pairs skipped by the product
     # and by the chain criterion, and pairs left at the corner unpopped
     normal_forms: int = 0
@@ -267,33 +319,45 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
     Pairs that the product or the chain criterion settles are skipped
     without a normal form; the module docstring proves both for the local
     order and for truncated elements.
+
+    Elements are kept as primitive integer polynomials with their lead,
+    ecart and tail lead, computed when they enter or are cut; the basis
+    is made monic once, from the kept elements.  The staircase that sets
+    the corner also gives the colength, recorded as `colength`.
     """
     n = len(ideal.vars)
-    G, leads = [], []
-    corner = None
+    G, leads, tails = [], [], []    # (lead, ecart, terms) entries, leads, tail leads
+    powers = set()          # the variables with a pure-power lead
+    corner = colength = None
     pairs = []              # heap of (lcm degree, insertion count, i, j)
     count = itertools.count()
 
     def add(g):
-        nonlocal corner
+        nonlocal corner, colength
         lead = leading_exponent(g)
-        G.append({e: c / g[lead] for e, c in g.items()})
         leads.append(lead)
-        # the leads can only become a full staircase when a pure power arrives
-        if corner is not None or sum(map(bool, lead)) == 1:
-            top = _staircase(leads, n)[1]
-            if top is not None and top + 1 != corner:
+        if sum(map(bool, lead)) == 1:
+            powers.add(next(i for i, a in enumerate(lead) if a))
+        # the staircase is finite once every variable has a pure power
+        if len(powers) == n:
+            colength, top = _staircase(leads, n)
+            if top + 1 != corner:
                 corner = top + 1
-                G[:] = [_truncate(gk, corner, lk) for gk, lk in zip(G, leads)]
+                for k, (lk, _, terms) in enumerate(G):
+                    cut = _truncate(terms, corner, lk)
+                    if len(cut) < len(terms):
+                        G[k], tails[k] = _entry(cut), _tail_lead(cut, lk)
         if corner is not None:
-            G[-1] = _truncate(G[-1], corner, lead)
+            g = _truncate(g, corner, lead)
+        G.append(_entry(g))
+        tails.append(_tail_lead(g, lead))
 
     def push(i, j):
         deg = sum(max(a, b) for a, b in zip(leads[i], leads[j]))
         heapq.heappush(pairs, (deg, next(count), i, j))
 
     for g in ideal.generators:
-        add(dict(g.terms))
+        add(_primitive(g.terms))
     for i, j in itertools.combinations(range(len(G)), 2):
         push(i, j)
     popped = set()          # pairs (i, j), i < j, taken from the heap
@@ -306,7 +370,7 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
             left_at_corner = len(pairs) + 1
             break
         popped.add((i, j))
-        if _product_criterion(G[i], leads[i], G[j], leads[j]):
+        if _product_criterion(leads[i], tails[i], leads[j], tails[j]):
             product_skips += 1
             continue
         lcm = tuple(map(max, leads[i], leads[j]))
@@ -316,7 +380,7 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
             chain_skips += 1
             continue
         normal_forms += 1
-        h = mora_normal_form(_spoly(G[i], leads[i], G[j], leads[j]), G, corner)
+        h = mora_normal_form(_spoly(G[i][2], leads[i], G[j][2], leads[j]), G, corner)
         if h:
             add(h)
             for k in range(len(G) - 1):
@@ -332,19 +396,20 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         )
         if not dominated:
             keep.append(i)
-    basis = tuple(Poly(ideal.vars, G[i]) for i in keep)
+    basis = tuple(Poly(ideal.vars, {e: Fraction(c, terms[lead]) for e, c in terms.items()})
+                  for lead, _, terms in map(G.__getitem__, keep))
     lexps = tuple(sorted((leads[i] for i in keep), key=order_key))
     return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner,
-                         normal_forms=normal_forms, product_skips=product_skips,
-                         chain_skips=chain_skips, left_at_corner=left_at_corner)
+                         colength=colength, normal_forms=normal_forms,
+                         product_skips=product_skips, chain_skips=chain_skips,
+                         left_at_corner=left_at_corner)
 
 
 def quotient_dim(sb: StandardBasis):
     """Vector-space dimension of local ring / ideal: the number of
     monomials outside the leading ideal, counted on its staircase.
     INFINITE when some variable has no pure power among the leads."""
-    count = _staircase(sb.leading_exponents, len(sb.vars))[0]
-    return INFINITE if count is None else count
+    return INFINITE if sb.colength is None else sb.colength
 
 
 # -- the classical invariants ---------------------------------------------------

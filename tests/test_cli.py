@@ -157,6 +157,15 @@ def test_defspace_verify(capsys):
     assert report["results"]["jacobian_sign"] == -1
 
 
+def test_defspace_verify_negative_samples_exits_2(capsys):
+    assert main(["defspace-verify", "--n", "3", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be a nonnegative integer, got -1\n"
+    code, report = run(capsys, "defspace-verify", "--n", "3", "--samples", "0")
+    assert code == 0 and report["results"]["ramification_samples"] == 0
+
+
 def test_defspace_fiber(capsys):
     code, report = run(capsys, "defspace-fiber", "--n", "3", "--b=-1,0")
     assert code == 0
@@ -255,6 +264,34 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
      "corpus entry 1: id must be a string"),
     ([{"id": None, "kind": "tjurina", "poly": "x^2"}],
      "corpus entry 0: id must be a string"),
+    ([{"id": "v", "kind": "tjurina", "poly": "x^2+y^3", "vars": "x,y"}],
+     "corpus entry 'v': vars must be a nonempty list of strings, got 'x,y'"),
+    ([{"id": "v", "kind": "milnor", "poly": "x^2", "vars": []}],
+     "corpus entry 'v': vars must be a nonempty list of strings"),
+    ([{"id": "v", "kind": "milnor", "poly": "x^2", "vars": ["x", 1]}],
+     "corpus entry 'v': vars must be a nonempty list of strings"),
+    ([{"id": "p", "kind": "tjurina", "poly": 5}],
+     "corpus entry 'p': poly must be a string, got 5"),
+    ([{"id": "p", "kind": "milnor", "poly": None}],
+     "corpus entry 'p': poly must be a string, got None"),
+    ([{"id": "f", "kind": "fiber", "n": 3, "b": 5}],
+     "corpus entry 'f': b must be a list of integers or rational strings, got 5"),
+    ([{"id": "f", "kind": "fiber", "n": 3, "b": ["0", None]}],
+     "corpus entry 'f': b must be a list of integers or rational strings"),
+    ([{"id": "f", "kind": "fiber", "n": 3, "b": [0.5, "0"]}],
+     "corpus entry 'f': b must be a list of integers or rational strings"),
+    ([{"id": "f", "kind": "fiber", "n": 3, "b": [True, "0"]}],
+     "corpus entry 'f': b must be a list of integers or rational strings"),
+    ([{"id": "f", "kind": "fiber", "n": 3, "b": ["1/0", "0"]}],
+     "corpus entry 'f': b must be a list of integers or rational strings"),
+    ([{"id": "d", "kind": "defspace", "n": 3, "samples": "x"}],
+     "corpus entry 'd': samples must be a nonnegative integer, got 'x'"),
+    ([{"id": "d", "kind": "defspace", "n": 3, "samples": 2.5}],
+     "corpus entry 'd': samples must be a nonnegative integer, got 2.5"),
+    ([{"id": "d", "kind": "defspace", "n": 3, "samples": -4}],
+     "corpus entry 'd': samples must be a nonnegative integer, got -4"),
+    ([{"id": "d", "kind": "defspace", "n": 3, "samples": False}],
+     "corpus entry 'd': samples must be a nonnegative integer, got False"),
 ])
 def test_corpus_malformed_entry_exits_2(tmp_path, capsys, entries, message):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -10,6 +11,8 @@ from singkit.localring import (
     LocalIdeal,
     _misses_an_axis,
     _product_criterion,
+    _staircase,
+    _tail_lead,
     leading_exponent,
     milnor_number,
     mora_normal_form,
@@ -535,7 +538,7 @@ def test_product_criterion_guard_keeps_the_pair():
     xyz = ("x", "y", "z")
     f, g = parse_polynomial("x + x*z + y^3", xyz), parse_polynomial("y + y*z + x^3", xyz)
     lf, lg = (1, 0, 0), (0, 1, 0)
-    assert not _product_criterion(dict(f.terms), lf, dict(g.terms), lg)
+    assert not _product_criterion(lf, _tail_lead(f.terms, lf), lg, _tail_lead(g.terms, lg))
     ideal = LocalIdeal(xyz, [f, g, parse_polynomial("z^6", xyz)])
     sb = standard_basis(ideal)
     # (f, g) is reduced; (f, z^6) and (g, z^6) have lcm degree 7 > corner 6
@@ -546,9 +549,10 @@ def test_product_criterion_guard_keeps_the_pair():
 
 def test_product_criterion_skips_coprime_leads_with_distinct_tail_products():
     xyz = ("x", "y", "z")
-    f, g = dict(P("x + y^2", xyz).terms), dict(P("y + 2*x*z", xyz).terms)
-    assert _product_criterion(f, (1, 0, 0), g, (0, 1, 0))
-    assert not _product_criterion(f, (1, 0, 0), dict(P("x*y + z^3", xyz).terms), (1, 1, 0))
+    lf, lg, lh = (1, 0, 0), (0, 1, 0), (1, 1, 0)
+    tf, tg = _tail_lead(P("x + y^2", xyz).terms, lf), _tail_lead(P("y + 2*x*z", xyz).terms, lg)
+    assert _product_criterion(lf, tf, lg, tg)
+    assert not _product_criterion(lf, tf, lh, _tail_lead(P("x*y + z^3", xyz).terms, lh))
 
 
 def _random_isolated_ideal(vars, rng):
@@ -677,3 +681,150 @@ def test_one_pass_oracle_matches_per_cutoff_route(text, with_f, start, limit):
         assert str(got.value) == str(exc)
     else:
         assert stabilized_oracle_dim(ideal, start, limit) == want
+
+
+# ---------------------------------------------------------------- fraction-free kernel
+
+# coefficients with denominators 1, 2, 3 and 7
+RATIONALS = [Fraction(p, q) for p in (1, -1, 2, -3, 5) for q in (1, 2, 3, 7)]
+
+
+def _random_rational_ideal(rng):
+    """An ideal in 2..4 variables with rational coefficients, isolated by
+    construction.  Half are the Tjurina or Milnor ideal of a pure power of
+    every variable plus two to four monomials above the Newton boundary
+    (Fermat-weighted degree > 1, so the germ is semi-quasihomogeneous).
+    The others hold a pure power of every variable with a random tail,
+    plus two or three generators of low degree, some with their lead
+    times a variable in the tail, so that Mora's division runs with
+    ecart."""
+    n = rng.randint(2, 4)
+    vars = XYZW[:n]
+    a = [rng.randint(2, 6) for _ in range(n)]
+    terms = {tuple(a[i] if j == i else 0 for j in range(n)): rng.choice(RATIONALS)
+             for i in range(n)}
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(2, 4)):
+            e = tuple(rng.randint(0, ai) for ai in a)
+            if sum(map(bool, e)) > 1 and sum(map(Fraction, e, a)) > 1:
+                terms[e] = terms.get(e, 0) + rng.choice(RATIONALS)
+        return jacobian_ideal(Poly(vars, terms), with_f=rng.random() < 0.5)
+    gens = []
+    for e, c in terms.items():
+        tail = tuple(rng.randint(0, 3) for _ in range(n))
+        gens.append({e: c, tail: rng.choice(RATIONALS)} if sum(tail) > sum(e) else {e: c})
+    for _ in range(rng.randint(2, 3)):
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        if sum(m) < 2:
+            m = (1, 1) + m[2:]
+        g = {m: rng.choice(RATIONALS)}
+        if rng.random() < 0.4:
+            i = rng.randrange(n)
+            g[tuple(x + (j == i) for j, x in enumerate(m))] = rng.choice(RATIONALS)
+        for _ in range(rng.randint(0, 2)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if sum(e) > sum(m):
+                g[e] = g.get(e, 0) + rng.choice(RATIONALS)
+        gens.append(g)
+    rng.shuffle(gens)
+    return LocalIdeal(vars, [Poly(vars, g) for g in gens])
+
+
+def _basis_record(sb):
+    counts = (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner)
+    return repr((sb.leading_exponents, sb.corner, counts, [str(b) for b in sb.basis]))
+
+
+# sha256 of the records of each batch of 30 ideals, first 16 hex digits,
+# recorded with the Fraction kernel that the fraction-free one replaced
+RATIONAL_BATCH_DIGESTS = [
+    "42a473e1a4cfd55b", "b6c601ab5d1924a7",
+    "5448eb0f1d0b0035", "33e17a9619630541",
+    "eb0de114d91c83f6", "c4a8fd4761f9b064",
+    "5e78b7fefcd90ea1", "e63a5c9ca6580c73",
+    "0b15c5d003b76d1b", "db5adf94da1b5396",
+]
+
+
+@pytest.mark.parametrize("batch", range(10))
+def test_random_rational_ideals_match_recorded_bases(batch):
+    rng = random.Random(f"rational/{batch}")
+    digest = hashlib.sha256()
+    for _ in range(30):
+        digest.update(_basis_record(standard_basis(_random_rational_ideal(rng))).encode())
+    assert digest.hexdigest()[:16] == RATIONAL_BATCH_DIGESTS[batch]
+
+
+def _seeded_ideals():
+    """The seeded ideals of the tests above: the Tjurina and Milnor ideals
+    of the table, random isolated ideals, random monomial ideals with and
+    without every pure power, and the rational ideals of the first batch."""
+    for text, _ in TAU_TABLE + [(PINNED_GERM, None), ("x^2 + y^2", None)]:
+        for with_f in (True, False):
+            yield jacobian_ideal(P(text), with_f)
+    for nvars in (2, 3):
+        rng = random.Random(60 + nvars)
+        for _ in range(15 if nvars == 2 else 8):
+            yield _random_isolated_ideal(XYZW[:nvars], rng)
+    for nvars in (2, 3, 4):
+        for all_pure_powers in (True, False):
+            rng = random.Random(100 * nvars + all_pure_powers)
+            vars = XYZW[:nvars]
+            for _ in range(10):
+                leads = _random_monomial_ideal(nvars, rng, all_pure_powers)
+                yield LocalIdeal(vars, [Poly(vars, {e: 1}) for e in leads])
+    rng = random.Random("rational/0")
+    for _ in range(30):
+        yield _random_rational_ideal(rng)
+
+
+def test_colength_is_the_staircase_count_of_the_leads():
+    infinite = 0
+    for ideal in _seeded_ideals():
+        sb = standard_basis(ideal)
+        assert sb.colength == _staircase(sb.leading_exponents, len(ideal.vars))[0], ideal
+        infinite += sb.colength is None
+    assert infinite
+
+
+def test_tail_leads_follow_the_cut_at_the_corner():
+    # z^3 sets the corner to 3 and cuts both tails away, so the pair
+    # (x, y) is skipped by the product criterion; with the uncut tail
+    # leads x*z^5 and y*z^5 the two tail products would be equal
+    xyz = ("x", "y", "z")
+    sb = standard_basis(LocalIdeal(xyz, [P(t, xyz) for t in ("x + x*z^5", "y + y*z^5", "z^3")]))
+    assert sb.corner == 3 and [str(b) for b in sb.basis] == ["x", "y", "z^3"]
+    assert (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner) == (0, 1, 0, 2)
+
+
+def test_fraction_reducers_with_denominators_reduce_members_to_zero():
+    # the public route: Fraction dicts in, converted to integers on entry
+    rng = random.Random(29)
+    fractions = [r for r in RATIONALS if r.denominator > 1]
+    checked = 0
+    for ideal in itertools.islice(_seeded_ideals(), 0, None, 3):
+        sb = standard_basis(ideal)
+        basis = [{e: s * c for e, c in b.terms.items()}
+                 for s, b in zip(rng.choices(fractions, k=len(sb.basis)), sb.basis)]
+        for _ in range(3):
+            # a random combination sum c_i * m_i * g_i with rational c_i
+            h = Poly.zero(ideal.vars)
+            for g in ideal.generators:
+                e = tuple(rng.randint(0, 2) for _ in ideal.vars)
+                h = h + Poly(ideal.vars, {e: rng.choice(fractions)}) * g
+            if h.is_zero():
+                continue
+            assert mora_normal_form(dict(h.terms), basis, bound=sb.corner) == {}, ideal
+            checked += 1
+    assert checked > 50
+
+
+def test_thirty_digit_coefficients_agree_with_oracle():
+    big = [int("7" * 30) + 3, -int("31" * 15), int("1" + "0" * 29) + 7, int("9" * 30)]
+    f = Poly(XYZW[:3], {(4, 0, 0): Fraction(big[0], 7), (0, 5, 0): big[1], (0, 0, 3): 1,
+                        (2, 1, 1): Fraction(big[2], big[3]), (1, 3, 0): big[0],
+                        (3, 0, 1): Fraction(-1, big[1])})
+    tau, mu = tjurina_number(f), milnor_number(f)
+    assert tau == stabilized_oracle_dim(jacobian_ideal(f, with_f=True))[0]
+    assert mu == stabilized_oracle_dim(jacobian_ideal(f))[0]
+    assert (tau, mu) == (16, 18)
