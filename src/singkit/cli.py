@@ -192,9 +192,14 @@ def build_parser():
     return parser
 
 
+_parser = None  # built on the first call of main; parse_args leaves it unchanged
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -159,13 +159,23 @@ def mora_normal_form(f, reducers, bound=None):
     generate (see `standard_basis`).  With it, terms of total degree >= N
     are dropped from f and after every reduction step, and f reduces to
     {} as soon as its leading term has degree >= N: every term left then
-    lies in m^N.
+    lies in m^N.  Without it, when the reducers' leads hold a pure power
+    of every variable, N is one more than the largest degree outside
+    their leads: the Nakayama argument of `standard_basis` holds for any
+    finite set of elements of the ideal whose leads leave finitely many
+    monomials outside.
     """
+    pool = [_entry(_primitive(g)) if isinstance(g, dict) else g for g in reducers]
+    if bound is None and pool:
+        leads = [entry[0] for entry in pool]
+        n = len(leads[0])
+        powers = {next(i for i, a in enumerate(e) if a) for e in leads if sum(map(bool, e)) == 1}
+        if len(powers) == n:
+            bound = _staircase(leads, n)[1] + 1
     h = f if bound is None else _truncate(f, bound)
     if not h:
         return {}
     h = _primitive(h)
-    pool = [_entry(_primitive(g)) if isinstance(g, dict) else g for g in reducers]
     while h:
         lh, eh = _lead_ecart(h)
         if bound is not None and sum(lh) >= bound:

@@ -38,7 +38,14 @@ def _coerce(c) -> Fraction:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial over Q."""
+    """Immutable-by-convention sparse polynomial over Q.
+
+    Invariant: `vars` is a tuple of distinct names, every key of `terms`
+    is a tuple of len(vars) nonnegative ints, and every value is a nonzero
+    Fraction.  The constructor checks it on input from outside; results
+    of the arithmetic below are built from operands that hold it and keep
+    it, so they skip the check (`_of`).
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -60,6 +67,15 @@ class Poly:
                 if c:
                     clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "Poly":
+        """A Poly holding `vars` and `terms` as given, unchecked: only for
+        terms that arithmetic built from operands in the same ambient."""
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -118,7 +134,7 @@ class Poly:
         for e, c in self.terms.items():
             if e[i] == k:
                 out[e[:i] + (0,) + e[i + 1:]] = c
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -137,12 +153,12 @@ class Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,8 +172,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if not c:
-                return Poly(self.vars)
-            return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
+                return Poly._of(self.vars, {})
+            return Poly._of(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_same(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -168,17 +184,19 @@ class Poly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if not self.terms:
+            return self if k else Poly.const(self.vars, 1)
         if len(self.terms) == 1:
             # one term needs no expansion, so x^99999999 costs nothing
             ((e, c),) = self.terms.items()
-            return Poly(self.vars, {tuple(k * x for x in e): c ** k})
+            return Poly._of(self.vars, {tuple(k * x for x in e): c ** k})
         out = Poly.const(self.vars, 1)
         for _ in range(k):
             out = out * self
@@ -204,7 +222,7 @@ class Poly:
                 continue
             d = e[:i] + (e[i] - 1,) + e[i + 1:]
             out[d] = c * e[i]
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     def substitute(self, mapping: Mapping[str, "Poly | int | Fraction"]) -> "Poly":
         """Substitute polynomials (or constants) for variables.
@@ -284,7 +302,7 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return Poly(self.vars)
+            return Poly._of(self.vars, {})
         key = lambda e: (sum(e), e)  # graded lex
         dlead = max(divisor.terms, key=key)
         dc = divisor.terms[dlead]
@@ -304,7 +322,7 @@ class Poly:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-        return Poly(self.vars, quot)
+        return Poly._of(self.vars, quot)
 
     # -- printing ----------------------------------------------------------
 
@@ -339,6 +357,26 @@ class Poly:
 
 # -- parsing ----------------------------------------------------------------
 
+# Term multiplications one parse may spend expanding products and powers:
+# about 0.3-0.45 s of Fraction arithmetic on a 2-core x86-64 VM, Python 3.11.
+PARSE_WORK_LIMIT = 50_000
+
+
+def _power_cost(t, k):
+    """Term multiplications that p**k costs for p with t terms, or some
+    number above PARSE_WORK_LIMIT.  p^j has at most C(j+t-1, t-1) terms,
+    so the k steps of p^(j+1) = p^j * p cost at most
+    t * sum_{j<k} C(j+t-1, t-1) = t * C(k+t-1, t); one term costs none."""
+    if t <= 1:
+        return 0
+    c = 1
+    for i in range(1, t + 1):
+        c = c * (k - 1 + i) // i  # C(k-1+i, i), which never falls as i grows
+        if t * c > PARSE_WORK_LIMIT:
+            break
+    return t * c
+
+
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()/])")
 
 
@@ -361,6 +399,15 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.vars = tuple(vars)
+        self.work = 0  # term multiplications spent so far
+
+    def spend(self, cost, at):
+        """Charge `cost` term multiplications to the operator at `at`,
+        refusing it once the parse would pass PARSE_WORK_LIMIT."""
+        self.work += cost
+        if self.work > PARSE_WORK_LIMIT:
+            raise ParseError("expression too large to expand "
+                             f"(over {PARSE_WORK_LIMIT} term products)", at)
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, len(self.text))
@@ -391,23 +438,27 @@ class _Parser:
     def term(self) -> Poly:
         acc = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                self.spend(len(acc.terms) * len(rhs.terms), at)
+                acc = acc * rhs
             else:
                 return acc
 
     def factor(self) -> Poly:
         base = self.atom()
-        kind, val, at = self.peek()
+        kind, val, caret = self.peek()
         if kind == "op" and val == "^":
             self.next()
             kind, val, at = self.peek()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.next()
-            return base ** int(val)
+            k = int(val)
+            self.spend(_power_cost(len(base.terms), k), caret)
+            return base ** k
         return base
 
     def atom(self) -> Poly:

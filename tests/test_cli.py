@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from singkit import defspace
+from singkit import cli, defspace
 from singkit.cli import main
 from singkit.corpus import CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III2_DISK
 
@@ -354,3 +354,44 @@ def test_tjurina_of_huge_pure_power_is_fast():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["tau"] == 99999998
+
+
+def test_main_reuses_one_parser_and_reports_match_a_fresh_process(monkeypatch, capsys):
+    built = []
+
+    def build_parser():
+        built.append(1)
+        return original()
+
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = [["tjurina", "x^2+y^3", "--vars", "x,y"],
+             ["milnor", "x^2+y^2+z^2+w^3"],
+             ["milnor", "x^2", "--samples", "3"],      # argparse exits 2
+             ["defspace-fiber", "--n", "3", "--b=-1,0"]]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "singkit.cli", *argv],
+                               capture_output=True, timeout=60)
+        assert code == fresh.returncode, argv
+        assert captured.out.encode() == fresh.stdout, argv
+        assert captured.err.encode() == fresh.stderr, argv
+    assert codes == [0, 0, 2, 0] and built == [1]
+
+
+def test_huge_expansion_exits_2_at_once():
+    # expanding the power would take minutes; the parser refuses it first
+    proc = subprocess.run(
+        [sys.executable, "-m", "singkit.cli", "tjurina", "(x+y+z+w)^300+x^2+y^2+z^2+w^2"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: expression too large to expand")
+    assert proc.stderr.count("\n") == 1

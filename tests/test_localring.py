@@ -797,11 +797,12 @@ def test_tail_leads_follow_the_cut_at_the_corner():
     assert (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner) == (0, 1, 0, 2)
 
 
-def test_fraction_reducers_with_denominators_reduce_members_to_zero():
-    # the public route: Fraction dicts in, converted to integers on entry
+def _members_and_fraction_reducers():
+    """(member, Fraction reducers, standard basis): random members of the
+    seeded ideals with rational multipliers, and the basis scaled by
+    rationals with denominators."""
     rng = random.Random(29)
     fractions = [r for r in RATIONALS if r.denominator > 1]
-    checked = 0
     for ideal in itertools.islice(_seeded_ideals(), 0, None, 3):
         sb = standard_basis(ideal)
         basis = [{e: s * c for e, c in b.terms.items()}
@@ -812,10 +813,27 @@ def test_fraction_reducers_with_denominators_reduce_members_to_zero():
             for g in ideal.generators:
                 e = tuple(rng.randint(0, 2) for _ in ideal.vars)
                 h = h + Poly(ideal.vars, {e: rng.choice(fractions)}) * g
-            if h.is_zero():
-                continue
-            assert mora_normal_form(dict(h.terms), basis, bound=sb.corner) == {}, ideal
-            checked += 1
+            if not h.is_zero():
+                yield dict(h.terms), basis, sb
+
+
+def test_fraction_reducers_with_denominators_reduce_members_to_zero():
+    # the public route: Fraction dicts in, converted to integers on entry
+    checked = 0
+    for h, basis, sb in _members_and_fraction_reducers():
+        assert mora_normal_form(h, basis, bound=sb.corner) == {}, sb.ideal
+        checked += 1
+    assert checked > 50
+
+
+def test_normal_form_without_bound_takes_it_from_the_reducers_leads():
+    # with no bound given, reducers whose leads hold every pure power
+    # certify one themselves; without that, reducing members against a
+    # basis cut at its corner can run on and on
+    checked = 0
+    for h, basis, sb in _members_and_fraction_reducers():
+        assert mora_normal_form(h, basis) == {}, sb.ideal
+        checked += 1
     assert checked > 50
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -64,6 +65,33 @@ def test_parse_deep_nesting_is_a_parse_error():
         parse_polynomial(text, ("x",))
     assert "nested too deeply" in str(err.value)
     assert 0 < err.value.position < 3000
+
+
+@pytest.mark.parametrize("text, at", [
+    ("(x+y+z+w)^300+x^2+y^2+z^2+w^2", 9),
+    ("((x+y+z+w)^20)^20", 14),
+    ("(x+y+z+w)^40*(x+y+z+w)^40", 9),
+    ("+".join(["(x+y+z+w)^15"] * 5), 61),   # each power is cheap; all five are not
+    ("(x+y)^400", 5),
+])
+def test_parse_refuses_expansions_past_the_work_limit(text, at):
+    with pytest.raises(ParseError) as err:
+        P(text)
+    assert "too large to expand" in str(err.value)
+    assert err.value.position == at
+
+
+def test_parse_expands_within_the_work_limit():
+    f = P("(x+y)^60")
+    assert len(f.terms) == 61 and f.terms[(30, 30, 0, 0)] == math.comb(60, 30)
+    assert len(P("+".join(["(x+y+z+w)^15"] * 4)).terms) == math.comb(18, 3)
+    assert P("(x+y+z+w)^10*(x-y+z-w)^5") == P("(x+y+z+w)^10") * P("(x-y+z-w)^5")
+
+
+def test_powers_of_zero_are_not_expanded():
+    assert P("0^99999999").is_zero()
+    assert P("(x-x)^99999999 + y").terms == {(0, 1, 0, 0): 1}
+    assert P("0^0") == 1 and P("(x-x)^0") == 1
 
 
 def test_parse_error_carries_position():
@@ -154,6 +182,31 @@ def test_power_is_repeated_multiplication(p, k):
 def test_power_of_a_monomial_is_not_expanded():
     assert P("(-2/3*x*y^2)^3") == P("-8/27*x^3*y^6")
     assert P("x^99999999").terms == {(99999999, 0, 0, 0): 1}
+
+
+def _holds_invariant(p):
+    n = len(p.vars)
+    return (type(p.vars) is tuple and len(set(p.vars)) == n
+            and all(type(c) is Fraction and c != 0 for c in p.terms.values())
+            and all(type(e) is tuple and len(e) == n
+                    and all(type(x) is int and x >= 0 for x in e) for e in p.terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys(), _coeff, st.integers(0, 6))
+def test_arithmetic_results_keep_the_invariant(a, b, c, k):
+    # results of arithmetic skip the constructor's check, so they must hold
+    # the invariant by construction
+    results = [a + b, a - b, -a, a + 2, 3 - a, a * b, a * c, c * a, a * 5, a * 0,
+               a.differentiate("x"), a.coefficient_in("y", 1), Poly.zero(a.vars) ** k]
+    if not b.is_zero():
+        results.append((a * b).exact_divide(b))
+    if not a.is_zero():
+        e, v = next(iter(a.terms.items()))
+        results.append(Poly(a.vars, {e: v}) ** k)
+    for r in results:
+        assert _holds_invariant(r), r.terms
+        assert Poly(r.vars, r.terms) == r
 
 
 @settings(max_examples=100, deadline=None)
