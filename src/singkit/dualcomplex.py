@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ConfigError
 
@@ -84,7 +85,12 @@ class MarkedData:
 
 
 class DivisorConfiguration:
-    """Validated SNC divisor combinatorics."""
+    """Validated SNC divisor combinatorics.
+
+    The incidence is built once, with the validation: `pair_curves` maps
+    a frozenset pair of component ids to its curve ids, `curves_at` a
+    component id to the ids of the curves on it, and `adjacent` a
+    component id to the set of its neighbors' ids."""
 
     def __init__(self, components, double_curves=(), triple_points=(), marked=None):
         comps = tuple(components)
@@ -106,6 +112,9 @@ class DivisorConfiguration:
         cids = [d.id for d in curves]
         if len(set(cids)) != len(cids):
             raise ConfigError("duplicate double curve ids")
+        self.pair_curves = {}
+        self.curves_at = {c.id: [] for c in comps}
+        self.adjacent = {c.id: set() for c in comps}
         for d in curves:
             a, b = d.between
             if a == b:
@@ -122,6 +131,11 @@ class DivisorConfiguration:
                             f"genus-1 double curve {d.id} touches component {end!r} "
                             "of kind 'other'"
                         )
+            self.pair_curves.setdefault(d.pair, []).append(d.id)
+            self.curves_at[a].append(d.id)
+            self.curves_at[b].append(d.id)
+            self.adjacent[a].add(b)
+            self.adjacent[b].add(a)
         self.double_curves = curves
         self.curve_by_id = {d.id: d for d in curves}
 
@@ -129,7 +143,6 @@ class DivisorConfiguration:
         tids = [t.id for t in triples]
         if len(set(tids)) != len(tids):
             raise ConfigError("duplicate triple point ids")
-        pair_curves = self.pair_to_curves()
         for t in triples:
             if len(t.components) != 3:
                 raise ConfigError(f"triple point {t.id} needs three distinct components")
@@ -137,13 +150,11 @@ class DivisorConfiguration:
             for x in trio:
                 if x not in self.by_id:
                     raise ConfigError(f"triple point {t.id} references unknown component {x!r}")
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if frozenset((trio[i], trio[j])) not in pair_curves:
-                        raise ConfigError(
-                            f"triple point {t.id}: components {trio[i]!r}, {trio[j]!r} "
-                            "share no double curve"
-                        )
+            for x, y in combinations(trio, 2):
+                if frozenset((x, y)) not in self.pair_curves:
+                    raise ConfigError(
+                        f"triple point {t.id}: components {x!r}, {y!r} share no double curve"
+                    )
         self.triple_points = triples
 
         self.marked = marked or MarkedData()
@@ -155,38 +166,24 @@ class DivisorConfiguration:
             if comp_id not in self.by_id:
                 raise ConfigError(f"marked C chains on unknown component {comp_id!r}")
 
-        if not self._connected():
+        if not _is_connected(self.adjacent):
             raise ConfigError("configuration is disconnected")
 
-    def pair_to_curves(self):
-        out = {}
-        for d in self.double_curves:
-            out.setdefault(d.pair, []).append(d.id)
-        return out
 
-    def curves_at(self, comp_id):
-        return [d for d in self.double_curves if comp_id in d.between]
-
-    def neighbors(self, comp_id):
-        out = set()
-        for d in self.double_curves:
-            if comp_id in d.between:
-                a, b = d.between
-                out.add(b if a == comp_id else a)
-        return out
-
-    def _connected(self):
-        seen = {self.components[0].id}
-        frontier = [self.components[0].id]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for m in self.neighbors(c):
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-            frontier = nxt
-        return len(seen) == len(self.components)
+def _is_connected(adj):
+    """Whether the graph given as vertex -> neighbors is connected."""
+    start = next(iter(adj))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in adj[x]:
+                if m not in seen:
+                    seen.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return len(seen) == len(adj)
 
 
 # -- dual complex ---------------------------------------------------------------
@@ -210,18 +207,11 @@ def build_dual_complex(config: DivisorConfiguration) -> DualComplex:
     curve id; first homology is computed mod 2 against that choice."""
     vertices = tuple(c.id for c in config.components)
     edges = tuple((d.id, d.between) for d in config.double_curves)
-    pair_rep = {
-        pair: min(ids) for pair, ids in config.pair_to_curves().items()
-    }
-    cells = []
-    for t in config.triple_points:
-        trio = sorted(t.components)
-        es = tuple(
-            pair_rep[frozenset((trio[i], trio[j]))]
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        )
-        cells.append((t.id, es))
-    cells = tuple(cells)
+    cells = tuple(
+        (t.id, tuple(min(config.pair_curves[frozenset(pair)])
+                     for pair in combinations(sorted(t.components), 2)))
+        for t in config.triple_points
+    )
 
     v, e, f = len(vertices), len(edges), len(cells)
     chi = v - e + f
@@ -274,7 +264,6 @@ class InvariantReport:
     h0_t1: int | None = None
     h1_t1: int | None = None
     dim_t2: int | None = None
-    h2_lower_bound: int | None = None
     warnings: tuple = ()
 
 
@@ -411,11 +400,11 @@ def _simple_path_order(config):
     comps = [c.id for c in config.components]
     if len(comps) == 1:
         return comps, None
-    for pair, ids in config.pair_to_curves().items():
+    for pair, ids in config.pair_curves.items():
         if len(ids) > 1:
             a, b = sorted(pair)
             return None, f"components {a!r}, {b!r} meet in more than one curve"
-    deg = {c: len(config.neighbors(c)) for c in comps}
+    deg = {c: len(config.adjacent[c]) for c in comps}
     ends = [c for c in comps if deg[c] == 1]
     if any(deg[c] > 2 for c in comps):
         bad = next(c for c in comps if deg[c] > 2)
@@ -425,22 +414,32 @@ def _simple_path_order(config):
     order = [ends[0]]
     prev = None
     while len(order) < len(comps):
-        nxt = [m for m in config.neighbors(order[-1]) if m != prev]
+        nxt = [m for m in config.adjacent[order[-1]] if m != prev]
         prev = order[-1]
         order.append(nxt[0])
     return order, None
 
 
-def _curve_between(config, a, b):
-    ids = config.pair_to_curves().get(frozenset((a, b)), [])
-    return ids[0] if ids else None
+def _boundary_failures(config, shape, clause, cids, chains):
+    """The anticanonical-boundary rule that every shape checks: the
+    boundary of each component in `cids` is the double curves on it plus
+    the curves of its marked chains (`chains`: component id -> chains)."""
+    failed = []
+    for cid in cids:
+        expect = set(config.curves_at[cid]).union(*chains.get(cid, ()))
+        got = set(config.by_id[cid].anticanonical)
+        if got != expect:
+            failed.append(
+                (shape, clause,
+                 f"component {cid!r} anticanonical boundary {sorted(got)} != {sorted(expect)}")
+            )
+    return failed
 
 
-def _eval_type_ii(config):
+def _eval_type_ii(config, order, why):
     failed, assumed, notes = [], [], []
     comps = config.components
     r = len(comps)
-    order, why = _simple_path_order(config)
     oriented = None  # chain listed E_1 .. E_r with E_r the rational end
     if order is None:
         failed.append(("TYPE_II", "ii", f"dual complex is not a point or segment: {why}"))
@@ -483,38 +482,20 @@ def _eval_type_ii(config):
         holders = [c.id for c in comps if d0 in c.anticanonical]
         if len(holders) > 1:
             raise ConfigError(f"ambiguous marked data: two candidate D0 locations {holders}")
-        first, last = oriented[0], oriented[-1]
-        want = {}
-        if len(oriented) == 1:
-            want[first] = {d0}
-        else:
-            want[first] = {d0, _curve_between(config, oriented[0], oriented[1])}
-            for i in range(1, len(oriented) - 1):
-                want[oriented[i]] = {
-                    _curve_between(config, oriented[i - 1], oriented[i]),
-                    _curve_between(config, oriented[i], oriented[i + 1]),
-                }
-            want[last] = {_curve_between(config, oriented[-2], oriented[-1])}
-        for cid, expect in want.items():
-            got = set(config.by_id[cid].anticanonical)
-            if got != expect:
-                failed.append(
-                    ("TYPE_II", "iv",
-                     f"component {cid!r} anticanonical boundary {sorted(got)} != {sorted(expect)}")
-                )
+        # D0 is the only marked curve; it lies on E_1, the far end of the chain
+        failed += _boundary_failures(config, "TYPE_II", "iv", oriented, {oriented[0]: ((d0,),)})
     assumed.append(("TYPE_II", "iv", "D0 smooth elliptic and disjoint from the next double curve"))
     assumed.append(("TYPE_II", "v", "normal bundle condition O_E(E) = omega_E is declared"))
     return failed, assumed, notes
 
 
-def _eval_type_iii1(config):
+def _eval_type_iii1(config, order, why):
     failed, assumed, notes = [], [], []
     comps = config.components
     bad_kind = [c.id for c in comps if c.kind is not Kind.RATIONAL]
     if bad_kind:
         failed.append(("TYPE_III_1", "i", f"components {bad_kind} must be rational"))
 
-    order, why = _simple_path_order(config)
     if order is None:
         failed.append(("TYPE_III_1", "ii", f"dual complex is not a point or segment: {why}"))
 
@@ -551,21 +532,7 @@ def _eval_type_iii1(config):
                 ("TYPE_III_1", "iii", f"marked chains on unexpected components {sorted(extra)}")
             )
         if not any(x[1] == "iii" for x in failed):
-            for i, cid in enumerate(order):
-                expect = set()
-                for chain in cc.get(cid, ()):
-                    expect |= set(chain)
-                if r > 1:
-                    if i > 0:
-                        expect.add(_curve_between(config, order[i - 1], cid))
-                    if i < r - 1:
-                        expect.add(_curve_between(config, cid, order[i + 1]))
-                got = set(config.by_id[cid].anticanonical)
-                if got != expect:
-                    failed.append(
-                        ("TYPE_III_1", "iii",
-                         f"component {cid!r} anticanonical boundary {sorted(got)} != {sorted(expect)}")
-                    )
+            failed += _boundary_failures(config, "TYPE_III_1", "iii", order, cc)
     assumed.append(
         ("TYPE_III_1", "iii", "chains consist of smooth rational curves meeting transversally")
     )
@@ -588,14 +555,13 @@ def _eval_type_iii2(config):
              f"needs at least two boundary components with marked chains, has {len(boundary)}")
         )
     else:
-        pair_curves = config.pair_to_curves()
         bset = set(boundary)
         adj = {
-            b: sorted(m for m in config.neighbors(b) if m in bset) for b in boundary
+            b: sorted(m for m in config.adjacent[b] if m in bset) for b in boundary
         }
         if len(boundary) == 2:
             a, b = boundary
-            ids = pair_curves.get(frozenset((a, b)), [])
+            ids = config.pair_curves.get(frozenset((a, b)), [])
             if len(ids) < 2:
                 failed.append(
                     ("TYPE_III_2", "ii",
@@ -614,7 +580,7 @@ def _eval_type_iii2(config):
                     ("TYPE_III_2", "ii",
                      f"boundary components {bad} do not meet exactly two other boundary components")
                 )
-            elif not _is_single_cycle(adj):
+            elif not _is_connected(adj):
                 failed.append(
                     ("TYPE_III_2", "ii", "boundary components split into several cycles")
                 )
@@ -622,17 +588,9 @@ def _eval_type_iii2(config):
     bad_genus = [d.id for d in config.double_curves if d.genus != 0]
     if bad_genus:
         failed.append(("TYPE_III_2", "iii", f"double curves {bad_genus} must have genus 0"))
-    for cid in sorted(set(boundary) | set(interior)):
-        c = config.by_id[cid]
-        expect = {d.id for d in config.curves_at(cid)}
-        for chain in config.marked.c_curves.get(cid, ()):
-            expect |= set(chain)
-        got = set(c.anticanonical)
-        if got != expect:
-            failed.append(
-                ("TYPE_III_2", "iii",
-                 f"component {cid!r} anticanonical boundary {sorted(got)} != {sorted(expect)}")
-            )
+    failed += _boundary_failures(
+        config, "TYPE_III_2", "iii", sorted(config.by_id), config.marked.c_curves
+    )
 
     dc = build_dual_complex(config)
     if dc.nonmanifold_edges:
@@ -675,44 +633,23 @@ def _eval_type_iii2(config):
     return failed, assumed, notes
 
 
-def _is_single_cycle(adj):
-    start = next(iter(adj))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for m in adj[x]:
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    return len(seen) == len(adj)
-
-
 def _boundary_cycle_vertices(config, dc):
     """Vertex set of the free-edge cycle, or None if those edges do not
     form one closed walk (every endpoint of degree exactly 2)."""
     if not dc.boundary_edges:
         return None
-    deg = {}
-    for eid in dc.boundary_edges:
-        for end in config.curve_by_id[eid].between:
-            deg[end] = deg.get(end, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return None
-    adj = {v: [] for v in deg}
+    adj = {}
     for eid in dc.boundary_edges:
         a, b = config.curve_by_id[eid].between
-        adj[a].append(b)
-        adj[b].append(a)
-    if not _is_single_cycle(adj):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if any(len(ms) != 2 for ms in adj.values()) or not _is_connected(adj):
         return None
-    return set(deg)
+    return set(adj)
 
 
 def _interior_link_is_cycle(config, cid):
-    neighbors = sorted(config.neighbors(cid))
+    neighbors = sorted(config.adjacent[cid])
     if len(neighbors) < 3:
         return False, f"only {len(neighbors)} neighbors, an interior vertex needs >= 3"
     link = {m: set() for m in neighbors}
@@ -724,7 +661,7 @@ def _interior_link_is_cycle(config, cid):
     if any(len(v) != 2 for v in link.values()):
         bad = sorted(m for m, v in link.items() if len(v) != 2)
         return False, f"link vertices {bad} do not have exactly two link edges"
-    if not _is_single_cycle({k: sorted(v) for k, v in link.items()}):
+    if not _is_connected(link):
         return False, "link splits into several cycles"
     return True, None
 
@@ -733,9 +670,10 @@ def classify(config: DivisorConfiguration) -> ClassificationResult:
     """Decide which of the three crepant-divisor shapes the configuration
     matches.  Exactly one type with no failed decidable clause gives the
     verdict; otherwise UNCLASSIFIED with every failure reported."""
+    order, why = _simple_path_order(config)
     evals = {
-        Verdict.TYPE_II: _eval_type_ii(config),
-        Verdict.TYPE_III_1: _eval_type_iii1(config),
+        Verdict.TYPE_II: _eval_type_ii(config, order, why),
+        Verdict.TYPE_III_1: _eval_type_iii1(config, order, why),
         Verdict.TYPE_III_2: _eval_type_iii2(config),
     }
     failed = []

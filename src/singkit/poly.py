@@ -419,21 +419,23 @@ class _Parser:
 
     def expr(self) -> Poly:
         kind, val, at = self.peek()
-        negate = False
+        sign = 1
         if kind == "op" and val == "-":
             self.next()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+            sign = -1
+        out = {}  # the sum so far; each summand is added in place
         while True:
+            for e, c in self.term().terms.items():
+                s = out.get(e, 0) + sign * c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
             kind, val, at = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                t = self.term()
-                acc = acc + t if val == "+" else acc - t
-            else:
-                return acc
+            if kind != "op" or val not in "+-":
+                return Poly._of(self.vars, out)
+            self.next()
+            sign = 1 if val == "+" else -1
 
     def term(self) -> Poly:
         acc = self.factor()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -395,3 +396,17 @@ def test_huge_expansion_exits_2_at_once():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: expression too large to expand")
     assert proc.stderr.count("\n") == 1
+
+
+def test_huge_fiber_coefficient_exits_2_at_once(capsys):
+    # trial division up to the square root of b0 would take about 3e13
+    # steps; the root search is charged before it runs and refused
+    start = time.perf_counter()
+    code = main(["defspace-fiber", "--n", "3", "--b=0,1000000000000000000000000000057"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1.0
+    assert captured.err == (
+        "error: coefficient 1000000000000000000000000000057 of w^0 too large to search "
+        f"for rational roots (over {defspace.ROOT_SEARCH_LIMIT} steps)\n"
+    )

@@ -16,6 +16,7 @@ from singkit.defspace import (
     reduce_mod_monic,
     verify_factor_identity,
 )
+from singkit.errors import ConfigError
 from singkit.poly import Poly, parse_polynomial
 
 
@@ -118,6 +119,22 @@ def test_fiber_points_map_back():
 def test_fiber_count_validates_length():
     with pytest.raises(ValueError):
         fiber_count(build(3), [1, 2, 3])
+
+
+def test_rational_root_search_is_bounded():
+    m = build(3)
+    # (w - 1000)^2 (w + 2000): 44 721 trial divisions, well inside the limit
+    fib = fiber_count(m, [-3_000_000, 2_000_000_000])
+    assert fib.count == 2 and [p.lam for p in fib.points] == [-2000, 1000]
+    # sqrt(4e12 + 1) trial divisions alone pass the limit; nothing is divided
+    with pytest.raises(ConfigError, match=r"^coefficient 4000000000001 of w\^0 too large"):
+        fiber_count(m, [0, 4 * 10**12 + 1])
+    # under a million trial divisions, but 6720 divisors give too many candidates
+    with pytest.raises(ConfigError, match=r"^coefficient 963761198400 of w\^0 too large"):
+        fiber_count(m, [0, 963_761_198_400])
+    # denominators are cleared first, so the leading coefficient can be the large one
+    with pytest.raises(ConfigError, match=r"^coefficient 10{15} of w\^3 too large"):
+        fiber_count(m, [0, Fraction(1, 10**15)])
 
 
 def test_jacobian_cofactor_value():

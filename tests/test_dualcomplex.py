@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 
@@ -235,7 +236,7 @@ def _relabel(data, rng):
     for chains in marked.get("c_curves", {}).values():
         for chain in chains:
             ids.update(chain)
-    perm = list(ids)
+    perm = sorted(ids)
     rng.shuffle(perm)
     table = dict(zip(sorted(ids), perm))
 
@@ -451,3 +452,160 @@ def test_dot_output_lists_components_and_curves():
         assert f'"{cid}"' in dot
     assert '"E1" -- "E2"' in dot
     assert dot.count("--") == 2
+
+
+# ---------------------------------------------------------------- random configurations
+#
+# Seeded random configurations, each reduced to its classification
+# (verdict, failed, assumed and notes, plus the dual complex) or to its
+# ConfigError message, and pinned per batch by a sha256.  The digests pin
+# the text and the order of every clause, so a change to how the
+# classifier reads the configuration has to reproduce them exactly.
+
+_KINDS = ("rational", "rational", "rational", "elliptic_ruled", "elliptic_ruled", "other")
+
+
+def _random_config(rng):
+    """1-6 components, 0-2 parallel curves per pair, random genera and
+    triple points, marked data that is a D0 curve or C chains, and
+    anticanonical sets that are the curves on the component plus its
+    marks, each perturbed at random."""
+    r = rng.randint(1, 6)
+    names = [f"E{i}" for i in range(r)]
+    genus = rng.choice((0, 1, None))  # None: each curve draws its own
+    curves = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            for _ in range(rng.choice((0, 0, 1, 1, 1, 2))):
+                pair = [names[i], names[j]]
+                rng.shuffle(pair)
+                g = rng.randint(0, 1) if genus is None else genus
+                curves.append({"id": f"D{len(curves) + 1}", "between": pair, "genus": g})
+    triples = []
+    if r >= 3:
+        for k in range(rng.choice((0, 0, 1, 2, 3))):
+            triples.append({"id": f"T{k}", "components": rng.sample(names, 3)})
+    pool = [d["id"] for d in curves] + ["D0", "C1", "C2"]
+
+    marks = {n: set() for n in names}
+    marked = {}
+    style = rng.choice(("none", "d0", "d0", "chains", "chains", "chains"))
+    if style == "d0":
+        marked["d0_curve"] = "D0" if rng.random() < 0.8 else rng.choice(pool)
+        marks[rng.choice(names)].add(marked["d0_curve"])
+    elif style == "chains":
+        cc = {}
+        for n in names:
+            if rng.random() < 0.7:
+                chains = [rng.sample(["C1", "C2", "C3"], rng.randint(1, 2))
+                          for _ in range(rng.randint(0, 2))]
+                cc[n] = chains
+                for chain in chains:
+                    marks[n].update(chain)
+        marked["c_curves"] = cc
+    if rng.random() < 0.3:
+        marked["pa_d"] = rng.randint(0, 3)
+
+    comps = []
+    for n in names:
+        anti = {d["id"] for d in curves if n in d["between"]} | marks[n]
+        if anti and rng.random() < 0.2:
+            anti.discard(rng.choice(sorted(anti)))
+        if rng.random() < 0.2:
+            anti.add(rng.choice(pool))
+        comps.append({"id": n, "kind": rng.choice(_KINDS), "b2": rng.randint(0, 9),
+                      "anticanonical_boundary": sorted(anti)})
+    out = {"components": comps, "double_curves": curves, "triple_points": triples}
+    if marked:
+        out["marked"] = marked
+    return out
+
+
+def _perturbed_shape(rng):
+    """A bundled TYPE_II, TYPE_III_1 or (mostly) TYPE_III_2 configuration
+    with up to two random edits, sometimes relabeled."""
+    data = copy.deepcopy(rng.choice(
+        (TYPE_III2_DISK, TYPE_III2_DISK, TYPE_III2_DISK, TYPE_II_CHAIN, TYPE_III1_SEGMENT)))
+    curves = data.setdefault("double_curves", [])
+    triples = data.setdefault("triple_points", [])
+    comps = data["components"]
+    for _ in range(rng.randint(0, 2)):
+        edit = rng.choice(("drop curve", "flip genus", "move chain", "drop triple",
+                           "parallel curve", "edit boundary"))
+        if edit == "drop curve" and curves:
+            gone = curves.pop(rng.randrange(len(curves)))
+            if rng.random() < 0.5:
+                pair = set(gone["between"])
+                triples[:] = [t for t in triples if not pair <= set(t["components"])]
+        elif edit == "flip genus" and curves:
+            d = rng.choice(curves)
+            d["genus"] = 1 - d["genus"]
+        elif edit == "move chain" and data.get("marked", {}).get("c_curves"):
+            cc = data["marked"]["c_curves"]
+            src = rng.choice(sorted(cc))
+            dst = rng.choice(comps)["id"]
+            cc.setdefault(dst, []).extend(cc.pop(src))
+        elif edit == "drop triple" and triples:
+            triples.pop(rng.randrange(len(triples)))
+        elif edit == "parallel curve" and curves:
+            d = rng.choice(curves)
+            curves.append({"id": "X", "between": list(d["between"]), "genus": d["genus"]})
+            if rng.random() < 0.5:
+                for c in comps:
+                    if c["id"] in d["between"]:
+                        c["anticanonical_boundary"] = c["anticanonical_boundary"] + ["X"]
+        elif edit == "edit boundary":
+            c = rng.choice(comps)
+            anti = c.get("anticanonical_boundary", [])
+            if anti and rng.random() < 0.5:
+                c["anticanonical_boundary"] = [x for x in anti if x != rng.choice(anti)]
+            else:
+                c["anticanonical_boundary"] = anti + [rng.choice(("C1", "D0", "S1", "B12"))]
+    return _relabel(data, rng) if rng.random() < 0.5 else data
+
+
+def _outcome(data):
+    try:
+        config = config_from_dict(data)
+        res = classify(config)
+    except ConfigError as err:
+        return "ConfigError", ["error", str(err)]
+    dc = build_dual_complex(config)
+    return res.verdict.value, [
+        res.verdict.value, res.failed_clauses, res.assumed_clauses, res.notes,
+        dc.cells, dc.euler_characteristic, dc.h1_rank, dc.boundary_edges,
+        dc.nonmanifold_edges,
+    ]
+
+
+# (generator, seed) -> (outcome counts, sha256 of the batch's outcomes)
+RANDOM_BATCHES = [
+    ("random", 1201, {'ConfigError': 270, 'TYPE_II': 20, 'TYPE_III_1': 4, 'UNCLASSIFIED': 206},
+     "38c1a596341f0b0bd60c8c73bae21ff814dea2b070e6ae2cda7bed001a54bdfa"),
+    ("random", 1202, {'ConfigError': 252, 'TYPE_II': 8, 'TYPE_III_1': 11, 'UNCLASSIFIED': 229},
+     "7866982cedb90cca2ae573d5efd157064c4a5b2b6ca3e6c9a6e46aed47a80ec5"),
+    ("random", 1203, {'ConfigError': 260, 'TYPE_II': 9, 'TYPE_III_1': 5, 'UNCLASSIFIED': 226},
+     "aa5310f6b877e5eb774bd8a93a004d1aac410fc13f68bad64b18d05eefbb4133"),
+    ("random", 1204, {'ConfigError': 251, 'TYPE_II': 13, 'TYPE_III_1': 5, 'UNCLASSIFIED': 231},
+     "d8d3a36b6eee7785fd18f69a6cb39e508ca086cade8fb606dd6a4d6f9a4302d9"),
+    ("perturbed", 1301, {'ConfigError': 61, 'TYPE_II': 43, 'TYPE_III_1': 43, 'TYPE_III_2': 109, 'UNCLASSIFIED': 244},
+     "c80472f81f3e6f0d5e2ab43af925f9b83b60cb6123ceedcdee28c5e5ac8d3c5c"),
+    ("perturbed", 1302, {'ConfigError': 70, 'TYPE_II': 44, 'TYPE_III_1': 44, 'TYPE_III_2': 107, 'UNCLASSIFIED': 235},
+     "325e746b1a5f603bc2c0e221000bf3769b39341fe3cc052099cf0b53d8afbdf9"),
+    ("perturbed", 1303, {'ConfigError': 67, 'TYPE_II': 35, 'TYPE_III_1': 44, 'TYPE_III_2': 112, 'UNCLASSIFIED': 242},
+     "5c5e084afc43ee69d8fa791e42c3c616a4c2ded5198475322bd3f8558dceb89a"),
+]
+
+
+@pytest.mark.parametrize("gen,seed,counts,digest", RANDOM_BATCHES)
+def test_random_configurations_match_pinned_digests(gen, seed, counts, digest):
+    make = {"random": _random_config, "perturbed": _perturbed_shape}[gen]
+    rng = random.Random(seed)
+    tally = {}
+    outcomes = []
+    for _ in range(500):
+        kind, out = _outcome(make(rng))
+        tally[kind] = tally.get(kind, 0) + 1
+        outcomes.append(out)
+    text = json.dumps(outcomes, sort_keys=True)
+    assert (tally, hashlib.sha256(text.encode()).hexdigest()) == (counts, digest)
