@@ -23,3 +23,8 @@ class ConsistencyError(ValueError):
     def __init__(self, relation, message):
         super().__init__(f"{relation}: {message}")
         self.relation = relation
+
+
+class LocalWorkLimitError(ValueError):
+    """Raised when a local standard basis computation passes the step
+    limit of `singkit.localring` (LOCAL_WORK_LIMIT)."""

@@ -1,29 +1,57 @@
 """Standard bases and colengths in the local ring at the origin.
 
-Everything here works with the negative degree reverse lexicographic
-order: monomials of *smaller* total degree are larger, ties broken by
-reverse lex.  Under this order the leading monomial of a polynomial is a
-term of minimal total degree, which is what makes the order local: the
-leading ideal determines the quotient of the localization at the origin
-rather than of the polynomial ring.
+The kernel works with a weighted local order, given by positive integer
+weights w: monomials of *smaller* weighted degree <w, e> are larger, ties
+broken by reverse lex.  Unit weights give the negative degree reverse
+lexicographic order (Singular's `ds`); other weights give Singular's `ws`
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.2).
+Under such an order the leading monomial of a polynomial is a term of
+minimal weighted degree, which is what makes the order local: the leading
+ideal determines the quotient of the localization at the origin rather
+than of the polynomial ring.  Below, "degree" is the weighted degree of
+the order in use.
 
 Division uses Mora's tangent-cone normal form, where a reducer of larger
-ecart (spread between total degree and leading-term degree) forces the
-intermediate remainder itself into the reducer set.  That bookkeeping is
-exactly what guarantees termination in the local order, at the price of
-computing a weak normal form u*f mod I with u an invisible unit -- which
-is all we need, since only leading terms feed the dimension counts.
+ecart (spread between the degree of the polynomial and that of its
+leading term) forces the intermediate remainder itself into the reducer
+set.  That bookkeeping is exactly what guarantees termination in the
+local order, at the price of computing a weak normal form u*f mod I with
+u an invisible unit -- which is all we need, since only leading terms
+feed the dimension counts.
 
-Power-series tails are cut at the highest corner (Greuel-Pfister, A
-Singular Introduction to Commutative Algebra, 1.7).  Once the leading
+Power-series tails are cut at the highest corner (Greuel-Pfister 1.7).
+Let F_d be the span of the monomials of degree >= d.  Once the leading
 exponents found so far leave only finitely many monomials outside, let N
 be one more than the largest degree among those monomials (at most
-sum(b_i - 1) + 1 for pure powers x_i^b_i among the leads).  Every monomial
-of degree >= N is then a leading monomial, and since the leading term of
-an element is a term of least degree, m^d lies in I + m^(d+1) for every
-d >= N; Nakayama's lemma gives m^N inside I.  So terms of degree >= N are
-zero modulo I and the standard basis computation drops them: no oracle
-is needed to certify the truncation.
+sum((b_i - 1) * w_i) + 1 for pure powers x_i^b_i among the leads).  Every
+monomial M of degree d >= N is then a leading monomial, x^s times the
+lead of an element g, and x^s * g is M plus terms of degree d that are
+smaller than M plus terms in F_(d+1).  Induction over the finitely many
+monomials of degree d, smallest first, gives F_d inside I + F_(d+1).  So
+F_N lies in I + F_(N+k) for every k, F_(N+k) lies in
+m^ceil((N+k)/max w), and Krull's intersection theorem (the intersection
+of the I + m^k is I in the local ring) gives F_N inside I.  So terms of
+degree >= N are zero modulo I and the standard basis computation drops
+them: no oracle is needed to certify the truncation.
+
+The colength does not depend on the weights: for every local order the
+monomials outside the leading ideal of a standard basis give a basis of
+the quotient, so their number is the same.  The weights only decide how
+soon truncation starts.  Under unit weights the partials of a germ can
+lead with mixed monomials, so that no variable has a pure-power lead and
+nothing is cut for a long time.  Weights w_i = L/a_i taken from the pure
+powers x_i^a_i of the germ (L the lcm of the a_i) give every x_i^a_i the
+same degree L, and for a semi-quasi-homogeneous germ the pure powers of
+the partials lead from the first generator on.  No single order wins on
+every germ, so `milnor_number` and `tjurina_number` run two engines
+round-robin, those weights first and unit weights second (`_germ_basis`).
+Each attempt runs under a budget of work that doubles every round, and
+the first engine to finish gives the answer.  Work is counted in Mora
+reduction steps, each weighted by its size (the terms of its remainder
+times the 64-bit words of its leading coefficient), never in seconds, so
+the engine that answers does not depend on the host.  `LOCAL_WORK_LIMIT`
+caps the work of all attempts of one number, and of one `standard_basis`
+or `mora_normal_form` call.
 
 Most S-pairs reduce to zero, and two criteria skip them unreduced
 (Buchberger; Gebauer-Moeller 1988; Greuel-Pfister 1.7 and 2.5).  The
@@ -43,7 +71,7 @@ the queue earlier, spoly(f, g) is a monomial combination of spoly(f, h)
 and spoly(g, h) whose terms lie below lcm(a, b), and those two already
 have such representations, so the pair is skipped.  Truncation keeps
 both sound: a tail cut at the corner N differs from the element by
-terms in m^N, which lies in the ideal, so every cut element is still in
+terms in F_N, which lies in the ideal, so every cut element is still in
 the ideal and the representations above are representations in it.
 
 Colengths are counted on the staircase of the leading ideal, not by
@@ -55,7 +83,10 @@ exponents of the leads, the monomials outside with first exponent in
 highest corner); its cost depends on the leads, not on the colength.
 
 The kernel is fraction-free.  Internally polynomials are raw
-{exponent-tuple: int} dicts with coprime coefficients; each generator
+{monomial key: int} dicts with coprime coefficients, where the key of
+exponent e is (<w, e>, e_n, ..., e_1) (`_Keys`): the degree rides along
+with every term, and tuple order is the local order, so leads, ecarts
+and cuts need no key function and no degree sum.  Each generator
 enters as the primitive integer multiple of itself, an S-polynomial is
 (c_g/d)*m_f*f - (c_f/d)*m_g*g with c_f, c_g the leading coefficients and
 d = gcd(c_f, c_g), and a Mora step scales the remainder by c_g/d before
@@ -82,9 +113,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import LocalWorkLimitError
 from .poly import Poly
 
 INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
+
+# Work that one tau or mu (all engine attempts together), one
+# standard_basis call or one mora_normal_form call may spend; past it,
+# LocalWorkLimitError.  A Mora reduction step costs the terms of its
+# remainder times the 64-bit words of its leading coefficient.
+LOCAL_WORK_LIMIT = 2**24
+# Work of each engine's first attempt in milnor_number and tjurina_number;
+# every round of attempts doubles it.
+FIRST_ATTEMPT_WORK = 4096
 
 
 # -- the local order ----------------------------------------------------------
@@ -98,15 +139,53 @@ def leading_exponent(terms):
     return min(terms, key=order_key)
 
 
-def _lead_ecart(terms):
-    """Leading exponent and ecart (top total degree minus lead degree)."""
-    lead = leading_exponent(terms)
-    return lead, max(map(sum, terms)) - sum(lead)
+class _Keys:
+    """Monomial keys of the local order with positive integer weights w.
+
+    The kernel keys a term with exponent e by (<w, e>, e_n, ..., e_1).
+    Keys of a product add, one key divides another componentwise exactly
+    when the exponents do, key[0] is the degree, and the smaller key is the
+    bigger monomial (degree, then reverse lex: `order_key` for unit
+    weights).  So min(terms) is the lead and max(terms)[0] the top degree,
+    with no key function.  One object is bound per `standard_basis` call.
+    """
+
+    __slots__ = ("weights", "_reversed")
+
+    def __init__(self, weights):
+        self.weights = weights
+        self._reversed = weights[::-1]
+
+    def key(self, e):
+        return (sum(map(operator.mul, self.weights, e)),) + e[::-1]
+
+    def keyed(self, terms):
+        w = self.weights
+        if not any(x != 1 for x in w):
+            return {(sum(e),) + e[::-1]: c for e, c in terms.items()}
+        mul = operator.mul
+        return {(sum(map(mul, w, e)),) + e[::-1]: c for e, c in terms.items()}
+
+    def lcm(self, a, b):
+        r = tuple(map(max, a[1:], b[1:]))
+        return (sum(map(operator.mul, self._reversed, r)),) + r
+
+
+def _exponent(key):
+    """The exponent tuple of a monomial key."""
+    return key[:0:-1]
+
+
+def _plain(terms):
+    """Terms keyed by exponent tuples again."""
+    return {k[:0:-1]: c for k, c in terms.items()}
 
 
 def _entry(terms):
-    """(lead, ecart, terms): what Mora's division reads of a reducer."""
-    return _lead_ecart(terms) + (terms,)
+    """(lead, ecart, terms): what Mora's division reads of a reducer; the
+    ecart is the top degree minus the lead's degree."""
+    lead = min(terms)
+    return lead, max(terms)[0] - lead[0], terms
 
 
 def _divides(a, b):
@@ -114,13 +193,13 @@ def _divides(a, b):
 
 
 def _truncate(terms, bound, keep=None):
-    """The terms of total degree below `bound`, and the exponent `keep`."""
-    return {e: c for e, c in terms.items() if sum(e) < bound or e == keep}
+    """The terms of degree below `bound`, and the key `keep`."""
+    return {k: c for k, c in terms.items() if k[0] < bound or k == keep}
 
 
 def _tail_lead(terms, lead):
-    """Leading exponent of the terms other than `lead`, or None."""
-    return min((e for e in terms if e != lead), key=order_key, default=None)
+    """Leading key of the terms other than `lead`, or None."""
+    return min((k for k in terms if k != lead), default=None)
 
 
 def _primitive(terms):
@@ -133,12 +212,16 @@ def _primitive(terms):
 
 
 def _sub_shifted(h, c, g, shift, bound=None):
-    """h -= c * x^shift * g in place, dropping shifted terms of total
-    degree >= bound."""
-    for e, v in g.items():
-        t = tuple(map(operator.add, e, shift))
-        if bound is not None and sum(t) >= bound:
-            continue
+    """h -= c * x^shift * g in place, dropping shifted terms of degree
+    >= bound."""
+    add = operator.add
+    if bound is None:
+        pairs = g.items()
+    else:
+        top = bound - shift[0]
+        pairs = [(k, v) for k, v in g.items() if k[0] < top]
+    for k, v in pairs:
+        t = tuple(map(add, k, shift))
         s = h.get(t, 0) - c * v
         if s:
             h[t] = s
@@ -146,47 +229,101 @@ def _sub_shifted(h, c, g, shift, bound=None):
             del h[t]
 
 
-def mora_normal_form(f, reducers, bound=None):
+class _OutOfWork(Exception):
+    """An engine attempt spent the work it was given (see `_Work`)."""
+
+
+class _Work:
+    """Work a computation may still spend, shared by all normal forms of
+    one standard basis.  Past it, `exhausted` gives the exception to
+    raise: LocalWorkLimitError when this is all that is left of
+    LOCAL_WORK_LIMIT (`final`), else _OutOfWork, which ends one engine
+    attempt."""
+
+    __slots__ = ("left", "final")
+
+    def __init__(self, n, final=True):
+        self.left = n
+        self.final = final
+
+    def exhausted(self):
+        if self.final:
+            return LocalWorkLimitError(
+                f"local standard basis too costly (over {LOCAL_WORK_LIMIT} units of "
+                "Mora reduction work)")
+        return _OutOfWork()
+
+
+def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
     """Weak normal form of f against the reducers, up to a unit.
 
-    f is a raw dict with int or Fraction coefficients.  A reducer is such
-    a dict, or the (lead, ecart, terms) entry of a primitive integer
-    polynomial that `standard_basis` keeps.  The result is a primitive
-    integer polynomial: a rational multiple of the weak normal form over
-    Q, with the same terms.
+    f and each reducer are raw dicts keyed by exponent tuples, with int
+    or Fraction coefficients.  The result is a primitive integer
+    polynomial keyed the same way: a rational multiple of the weak normal
+    form over Q, with the same terms.  `weights` picks the local order
+    (default: unit weights, see the module docstring).  Inside
+    `standard_basis`, `weights` is the `_Keys` of its order: then f and
+    the result are keyed by monomial keys, and the reducers are the
+    (lead, ecart, terms) entries of primitive integer polynomials that it
+    keeps.
 
-    `bound` is a degree N with m^N inside the ideal that the reducers
-    generate (see `standard_basis`).  With it, terms of total degree >= N
-    are dropped from f and after every reduction step, and f reduces to
-    {} as soon as its leading term has degree >= N: every term left then
-    lies in m^N.  Without it, when the reducers' leads hold a pure power
-    of every variable, N is one more than the largest degree outside
-    their leads: the Nakayama argument of `standard_basis` holds for any
-    finite set of elements of the ideal whose leads leave finitely many
-    monomials outside.
+    `bound` is a degree N of the order with F_N inside the ideal that the
+    reducers generate (see `standard_basis`).  With it, terms of degree
+    >= N are dropped from f and after every reduction step, and f reduces
+    to {} as soon as its leading term has degree >= N: every term left
+    then lies in F_N.  Without it, when the reducers' leads hold a pure
+    power of every variable, N is one more than the largest degree
+    outside their leads: the argument of the module docstring holds for
+    any finite set of elements of the ideal whose leads leave finitely
+    many monomials outside.
+
+    Every reduction step spends its remainder's terms times the words of
+    its leading coefficient from `work` (a `_Work`, shared with the
+    caller); without it, the call may spend LOCAL_WORK_LIMIT and raises
+    LocalWorkLimitError past it.
     """
-    pool = [_entry(_primitive(g)) if isinstance(g, dict) else g for g in reducers]
-    if bound is None and pool:
-        leads = [entry[0] for entry in pool]
-        n = len(leads[0])
-        powers = {next(i for i, a in enumerate(e) if a) for e in leads if sum(map(bool, e)) == 1}
-        if len(powers) == n:
-            bound = _staircase(leads, n)[1] + 1
-    h = f if bound is None else _truncate(f, bound)
-    if not h:
+    if not f:
         return {}
-    h = _primitive(h)
+    if work is None:
+        work = _Work(LOCAL_WORK_LIMIT)
+    if isinstance(weights, _Keys):
+        keys, pool, plain = weights, list(reducers), False
+    else:
+        n = len(next(iter(f)))
+        keys = _Keys((1,) * n if weights is None else tuple(weights))
+        f = keys.keyed(f)
+        pool = [_entry(keys.keyed(_primitive(g))) for g in reducers]
+        plain = True
+        if bound is None and pool:
+            leads = [_exponent(entry[0]) for entry in pool]
+            powers = {next(i for i, a in enumerate(e) if a)
+                      for e in leads if sum(map(bool, e)) == 1}
+            if len(powers) == n:
+                bound = _staircase(leads, n, keys.weights)[1] + 1
+    h = f if bound is None else _truncate(f, bound)
+    if h:
+        h = _primitive(h)
+    le = operator.le
     while h:
-        lh, eh = _lead_ecart(h)
-        if bound is not None and sum(lh) >= bound:
-            return {}
-        best = None
+        lh = min(h)
+        # a step costs its remainder's terms times its lead coefficient's words
+        work.left -= len(h) * (1 + (h[lh].bit_length() >> 6))
+        if work.left < 0:
+            raise work.exhausted()
+        if bound is not None and lh[0] >= bound:
+            h = {}
+            break
+        # the first reducer of least ecart whose lead divides lh
+        best, least = None, math.inf
         for entry in pool:
-            if _divides(entry[0], lh) and (best is None or entry[1] < best[1]):
-                best = entry
+            if entry[1] < least and all(map(le, entry[0], lh)):
+                best, least = entry, entry[1]
+                if not least:
+                    break
         if best is None:
             break
         lg, eg, g = best
+        eh = max(h)[0] - lh[0]
         if eg > eh:
             pool.append((lh, eh, dict(h)))
         # h <- (c_g/d)*h - (c_h/d)*x^s*g, then divide out the content
@@ -200,50 +337,52 @@ def mora_normal_form(f, reducers, bound=None):
         if k != 1:
             for e in h:
                 h[e] //= k
-    return h
+    return _plain(h) if plain else h
 
 
-def _spoly(f, lf, g, lg):
+def _spoly(f, lf, g, lg, lcm):
     """(c_g/d)*x^(l-lf)*f - (c_f/d)*x^(l-lg)*g for l = lcm(lf, lg), c_f,
     c_g the leading coefficients and d their gcd: an integer multiple of
-    the S-polynomial of f and g."""
-    lcm = tuple(map(max, lf, lg))
+    the S-polynomial of f and g (all keyed by monomial keys)."""
     d = math.gcd(f[lf], g[lg])
     a, b = g[lg] // d, f[lf] // d
     sf = tuple(map(operator.sub, lcm, lf))
-    out = {tuple(map(operator.add, e, sf)): a * c for e, c in f.items()}
+    out = {tuple(map(operator.add, k, sf)): a * c for k, c in f.items()}
     _sub_shifted(out, b, g, tuple(map(operator.sub, lcm, lg)))
     return out
 
 
 def _product_criterion(lf, tf, lg, tg):
-    """True when spoly(f, g) of the elements with leads lf, lg and tail
-    leads tf, tg (None for an empty tail) is the standard representation
-    t_f*g - t_g*f (see the module docstring)."""
-    if any(a and b for a, b in zip(lf, lg)):
+    """True when spoly(f, g) of the elements with lead keys lf, lg and
+    tail lead keys tf, tg (None for an empty tail) is the standard
+    representation t_f*g - t_g*f (see the module docstring)."""
+    if any(a and b for a, b in zip(lf[1:], lg[1:])):
         return False
     return (tf is None or tg is None
             or tuple(map(operator.add, tf, lg)) != tuple(map(operator.add, tg, lf)))
 
 
-def _staircase(leads, nvars):
+def _staircase(leads, nvars, weights=None):
     """(count, top) of the monomials in `nvars` variables that no exponent
-    in `leads` divides: their number and largest total degree (top -1 when
-    there is none), or (None, None) when there are infinitely many.  Cuts
-    at the exponents of the first variable, see the module docstring."""
+    in `leads` divides: their number and largest degree under `weights`
+    (default: unit weights; top -1 when there is none), or (None, None)
+    when there are infinitely many.  Cuts at the exponents of the first
+    variable, see the module docstring; a slab [a, b) adds (b - 1) times
+    the first weight to the top of its section."""
     if any(not any(e) for e in leads):
         return 0, -1
     if not leads:
         return (None, None) if nvars else (1, 0)
+    w, rest = (1, None) if weights is None else (weights[0], weights[1:])
     count, top = 0, -1
     cuts = sorted({0, *(e[0] for e in leads)})
     for a, b in zip(cuts, cuts[1:] + [None]):
-        sub, sub_top = _staircase([e[1:] for e in leads if e[0] <= a], nvars - 1)
+        sub, sub_top = _staircase([e[1:] for e in leads if e[0] <= a], nvars - 1, rest)
         if sub is None or (b is None and sub):
             return None, None
         if sub:
             count += (b - a) * sub
-            top = max(top, b - 1 + sub_top)
+            top = max(top, (b - 1) * w + sub_top)
     return count, top
 
 
@@ -283,9 +422,10 @@ class StandardBasis:
     ideal: LocalIdeal
     basis: tuple
     leading_exponents: tuple
-    # certified degree N with m^N inside the ideal: one more than the
-    # degree of the highest corner; None when infinitely many monomials
-    # lie outside the leading ideal (some variable has no pure power)
+    # certified degree N of the order with F_N inside the ideal: one more
+    # than the degree of the highest corner; None when infinitely many
+    # monomials lie outside the leading ideal (some variable has no pure
+    # power)
     corner: int | None = None
     # number of monomials outside the leading ideal, from the staircase
     # walk that set the corner; None when the corner is None
@@ -296,47 +436,64 @@ class StandardBasis:
     product_skips: int = 0
     chain_skips: int = 0
     left_at_corner: int = 0
+    # the weights of the local order (all 1: negative degree reverse lex),
+    # and the work its normal forms spent (see LOCAL_WORK_LIMIT)
+    weights: tuple = ()
+    work: int = 0
 
     @property
     def vars(self):
         return self.ideal.vars
 
 
-def standard_basis(ideal: LocalIdeal) -> StandardBasis:
+def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBasis:
     """Mora's tangent-cone construction of a standard basis.
 
-    The returned basis is minimal: no leading monomial divides another,
-    so the leading-exponent set is the canonical minimal generating set
-    of the leading ideal (independent of generator order).
+    `weights` are positive integers, one per variable, that pick the local
+    order (default: unit weights, see the module docstring); "degree"
+    below is the weighted degree.  The returned basis is minimal: no
+    leading monomial divides another, so the leading-exponent set is the
+    canonical minimal generating set of the leading ideal for that order
+    (independent of generator order).
 
     Highest corner (Greuel-Pfister, A Singular Introduction to Commutative
     Algebra, 1.7): once the leading exponents of the basis G built so far
     hold a pure power x_i^b_i of every variable, only finitely many
     monomials lie outside L(G); let N be one more than the largest degree
-    among them, so N <= sum(b_i - 1) + 1.  Every monomial of degree >= N
-    then lies in L(G).  Under a local degree order an element with leading
-    monomial m of degree d is m plus smaller terms of degree d plus terms
-    of higher degree, so m^d lies in (G) + m^(d+1) for each d >= N, and
-    Nakayama gives m^N inside (G), which is inside the ideal.  From then on
-    every term of degree >= N is zero modulo the ideal: S-pairs whose lcm
-    has degree >= N are skipped, normal forms drop such terms
-    (`mora_normal_form`'s `bound`), and the tails of the basis elements are
-    cut at N (their leading terms are kept).  N falls as new leading
-    exponents arrive, and the final N is recorded as `corner`: the least N
-    with m^N inside the ideal.  Until every variable has a pure power,
-    which for a non-isolated ideal is never, nothing is truncated.
+    among them.  Every monomial of degree >= N then lies in L(G), and the
+    module docstring shows that F_N, the span of the monomials of degree
+    >= N, lies in (G), which is inside the ideal.  From then on every term
+    of degree >= N is zero modulo the ideal: S-pairs whose lcm has degree
+    >= N are skipped, normal forms drop such terms (`mora_normal_form`'s
+    `bound`), and the tails of the basis elements are cut at N (their
+    leading terms are kept).  N falls as new leading exponents arrive, and
+    the final N is recorded as `corner`: the least N with F_N inside the
+    ideal.  Until every variable has a pure power, which for a
+    non-isolated ideal is never, nothing is truncated.
 
     Pairs that the product or the chain criterion settles are skipped
     without a normal form; the module docstring proves both for the local
     order and for truncated elements.
 
-    Elements are kept as primitive integer polynomials with their lead,
-    ecart and tail lead, computed when they enter or are cut; the basis
-    is made monic once, from the kept elements.  The staircase that sets
-    the corner also gives the colength, recorded as `colength`.
+    Elements are kept as primitive integer polynomials keyed by the
+    order's monomial keys (`_Keys`), with their lead, ecart and tail lead,
+    computed when they enter or are cut; the basis is made monic once,
+    from the kept elements.  The staircase that sets the corner also gives
+    the colength, recorded as `colength`.
+
+    The normal forms spend `work` (a `_Work`); without it, the call may
+    spend LOCAL_WORK_LIMIT and raises LocalWorkLimitError past it.
     """
     n = len(ideal.vars)
-    G, leads, tails = [], [], []    # (lead, ecart, terms) entries, leads, tail leads
+    weights = (1,) * n if weights is None else tuple(weights)
+    if len(weights) != n or not all(isinstance(w, int) and w > 0 for w in weights):
+        raise ValueError(f"weights must be {n} positive integers, got {weights!r}")
+    keys = _Keys(weights)
+    if work is None:
+        work = _Work(LOCAL_WORK_LIMIT)
+    start = work.left
+    G, leads, tails = [], [], []    # (lead, ecart, terms) entries, lead keys, tail leads
+    exps = []               # the leads' exponents
     powers = set()          # the variables with a pure-power lead
     corner = colength = None
     pairs = []              # heap of (lcm degree, insertion count, i, j)
@@ -344,13 +501,14 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
 
     def add(g):
         nonlocal corner, colength
-        lead = leading_exponent(g)
+        lead = min(g)
         leads.append(lead)
-        if sum(map(bool, lead)) == 1:
-            powers.add(next(i for i, a in enumerate(lead) if a))
+        exps.append(_exponent(lead))
+        if sum(map(bool, exps[-1])) == 1:
+            powers.add(next(i for i, a in enumerate(exps[-1]) if a))
         # the staircase is finite once every variable has a pure power
         if len(powers) == n:
-            colength, top = _staircase(leads, n)
+            colength, top = _staircase(exps, n, weights)
             if top + 1 != corner:
                 corner = top + 1
                 for k, (lk, _, terms) in enumerate(G):
@@ -363,11 +521,10 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         tails.append(_tail_lead(g, lead))
 
     def push(i, j):
-        deg = sum(max(a, b) for a, b in zip(leads[i], leads[j]))
-        heapq.heappush(pairs, (deg, next(count), i, j))
+        heapq.heappush(pairs, (keys.lcm(leads[i], leads[j])[0], next(count), i, j))
 
     for g in ideal.generators:
-        add(_primitive(g.terms))
+        add(keys.keyed(_primitive(g.terms)))
     for i, j in itertools.combinations(range(len(G)), 2):
         push(i, j)
     popped = set()          # pairs (i, j), i < j, taken from the heap
@@ -383,14 +540,15 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         if _product_criterion(leads[i], tails[i], leads[j], tails[j]):
             product_skips += 1
             continue
-        lcm = tuple(map(max, leads[i], leads[j]))
+        lcm = keys.lcm(leads[i], leads[j])
         if any(k != i and k != j and _divides(leads[k], lcm)
                and (min(i, k), max(i, k)) in popped and (min(j, k), max(j, k)) in popped
                for k in range(len(G))):
             chain_skips += 1
             continue
         normal_forms += 1
-        h = mora_normal_form(_spoly(G[i][2], leads[i], G[j][2], leads[j]), G, corner)
+        h = mora_normal_form(_spoly(G[i][2], leads[i], G[j][2], leads[j], lcm), G, corner,
+                             weights=keys, work=work)
         if h:
             add(h)
             for k in range(len(G) - 1):
@@ -406,13 +564,15 @@ def standard_basis(ideal: LocalIdeal) -> StandardBasis:
         )
         if not dominated:
             keep.append(i)
-    basis = tuple(Poly(ideal.vars, {e: Fraction(c, terms[lead]) for e, c in terms.items()})
+    basis = tuple(Poly._of(ideal.vars, {_exponent(k): Fraction(c, terms[lead])
+                                        for k, c in terms.items()})
                   for lead, _, terms in map(G.__getitem__, keep))
-    lexps = tuple(sorted((leads[i] for i in keep), key=order_key))
+    lexps = tuple(_exponent(lead) for lead in sorted(leads[i] for i in keep))
     return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner,
                          colength=colength, normal_forms=normal_forms,
                          product_skips=product_skips, chain_skips=chain_skips,
-                         left_at_corner=left_at_corner)
+                         left_at_corner=left_at_corner, weights=weights,
+                         work=start - work.left)
 
 
 def quotient_dim(sb: StandardBasis):
@@ -437,10 +597,60 @@ def _misses_an_axis(gens, nvars):
     return len(axes) < nvars
 
 
+def _fermat_weights(f: Poly):
+    """Weights L/a_i from the least pure power x_i^a_i of each variable
+    in f, L the lcm of the a_i: the weights under which f's pure powers
+    all have degree L.  None when some variable has no pure power in f."""
+    least = {}
+    for e in f.terms:
+        if sum(map(bool, e)) == 1:
+            i, a = next((i, a) for i, a in enumerate(e) if a)
+            least[i] = min(a, least.get(i, a))
+    if len(least) < len(f.vars):
+        return None
+    lcm = math.lcm(*least.values())
+    return tuple(lcm // least[i] for i in range(len(f.vars)))
+
+
+def _engines(f: Poly):
+    """The weights of the engines that `_germ_basis` alternates, in
+    turn: f's Fermat weights, when f has a pure power of every variable
+    and they are not all equal, then unit weights (None)."""
+    w = _fermat_weights(f)
+    return (None,) if w is None or len(set(w)) == 1 else (w, None)
+
+
+def _germ_basis(ideal: LocalIdeal, engines):
+    """(standard basis, attempts): the basis of the first engine to finish,
+    and the number of `standard_basis` calls made.
+
+    The engines take turns, in order; an attempt that spends its work is
+    dropped, and each round of turns doubles the work an attempt is
+    given, starting at FIRST_ATTEMPT_WORK.  A single engine gets all of
+    LOCAL_WORK_LIMIT at once.  All attempts together spend at most
+    LOCAL_WORK_LIMIT: the attempt that is given all that is left raises
+    LocalWorkLimitError when it runs out.  Work is counted, not timed, so
+    the same ideal is always answered by the same engine with the same
+    counts."""
+    left = LOCAL_WORK_LIMIT
+    given = FIRST_ATTEMPT_WORK if len(engines) > 1 else left
+    attempts = 0
+    while True:
+        for weights in engines:
+            n = min(given, left)
+            attempts += 1
+            try:
+                return standard_basis(ideal, weights=weights, work=_Work(n, n == left)), attempts
+            except _OutOfWork:
+                left -= n
+        given *= 2
+
+
 def _germ_colength(f: Poly, gens, name):
     """Colength of the ideal of the nonzero `gens` built from the germ f:
     0 when one of them is a unit, INFINITE when they all vanish on a
-    coordinate axis, else counted on a standard basis."""
+    coordinate axis, else counted on the standard basis of the first
+    of f's engines to finish (`_germ_basis`)."""
     if f.is_zero():
         raise ValueError(f"{name} of the zero polynomial is undefined")
     if f.constant_term():
@@ -450,7 +660,7 @@ def _germ_colength(f: Poly, gens, name):
         return 0  # unit partial derivative: smooth point
     if _misses_an_axis(gens, len(f.vars)):
         return INFINITE
-    return quotient_dim(standard_basis(LocalIdeal(f.vars, gens)))
+    return quotient_dim(_germ_basis(LocalIdeal(f.vars, gens), _engines(f))[0])
 
 
 def milnor_number(f: Poly):

@@ -360,21 +360,34 @@ class Poly:
 # Term multiplications one parse may spend expanding products and powers:
 # about 0.3-0.45 s of Fraction arithmetic on a 2-core x86-64 VM, Python 3.11.
 PARSE_WORK_LIMIT = 50_000
+# Coefficient bits one term multiplication stands for: a multiplication on
+# coefficients of b bits is charged as 1 + b // PARSE_WORD_BITS of them.
+PARSE_WORD_BITS = 512
 
 
-def _power_cost(t, k):
-    """Term multiplications that p**k costs for p with t terms, or some
-    number above PARSE_WORK_LIMIT.  p^j has at most C(j+t-1, t-1) terms,
-    so the k steps of p^(j+1) = p^j * p cost at most
-    t * sum_{j<k} C(j+t-1, t-1) = t * C(k+t-1, t); one term costs none."""
+def _height(p):
+    """Bits of p's largest coefficient n/d, taken as the bit lengths of n
+    and d less one each: 0 for coefficients +-1."""
+    return max((abs(c.numerator).bit_length() + c.denominator.bit_length() - 2
+                for c in p.terms.values()), default=0)
+
+
+def _power_cost(t, k, bits=0):
+    """Term multiplications that p**k costs for p with t terms of height
+    `bits` (`_height`), or some number above PARSE_WORK_LIMIT.  p^j has at
+    most C(j+t-1, t-1) terms, so the k steps of p^(j+1) = p^j * p make at
+    most t * sum_{j<k} C(j+t-1, t-1) = t * C(k+t-1, t) term products, on
+    coefficients of up to about k * bits bits.  One term makes none; only
+    its coefficient's power is charged, so x^99999999 costs nothing."""
+    size = k * bits // PARSE_WORD_BITS
     if t <= 1:
-        return 0
+        return size
     c = 1
     for i in range(1, t + 1):
         c = c * (k - 1 + i) // i  # C(k-1+i, i), which never falls as i grows
         if t * c > PARSE_WORK_LIMIT:
             break
-    return t * c
+    return t * c * (1 + size)
 
 
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()/])")
@@ -444,7 +457,8 @@ class _Parser:
             if kind == "op" and val == "*":
                 self.next()
                 rhs = self.factor()
-                self.spend(len(acc.terms) * len(rhs.terms), at)
+                size = (_height(acc) + _height(rhs)) // PARSE_WORD_BITS
+                self.spend(len(acc.terms) * len(rhs.terms) * (1 + size), at)
                 acc = acc * rhs
             else:
                 return acc
@@ -459,7 +473,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.next()
             k = int(val)
-            self.spend(_power_cost(len(base.terms), k), caret)
+            self.spend(_power_cost(len(base.terms), k, _height(base)), caret)
             return base ** k
         return base
 

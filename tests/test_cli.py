@@ -410,3 +410,27 @@ def test_huge_fiber_coefficient_exits_2_at_once(capsys):
         "error: coefficient 1000000000000000000000000000057 of w^0 too large to search "
         f"for rational roots (over {defspace.ROOT_SEARCH_LIMIT} steps)\n"
     )
+
+
+def test_big_coefficients_under_a_power_exit_2_at_once(capsys):
+    # 222 products on coefficients of thousands of digits: 1 s of parsing
+    # before the parser charged coefficient size
+    start = time.perf_counter()
+    code = main(["milnor", "(123456789012345678901234567890/7*x"
+                 " + 98765432109876543210/11*y)^222", "--vars", "x,y"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 0.1
+    assert captured.err.startswith("error: expression too large to expand")
+    assert captured.err.count("\n") == 1
+
+
+def test_local_work_limit_exits_2(capsys, monkeypatch):
+    from singkit import localring
+    monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 20_000)
+    code = main(["milnor", "-x*y^3*z*w^3 + y^6 - y^2*z^2*w^2 + x^5 + 1/3*w^5 + 2/7*x^2*z*w"
+                 " + 2*x*y*z*w - 3/2*y*z^2*w + 1/2*z^3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: local standard basis too costly "
+                            "(over 20000 units of Mora reduction work)\n")

@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from singkit.errors import LocalWorkLimitError
 from singkit.localring import (
+    FIRST_ATTEMPT_WORK,
     INFINITE,
     LocalIdeal,
+    _engines,
+    _fermat_weights,
+    _germ_basis,
+    _Keys,
     _misses_an_axis,
     _product_criterion,
     _staircase,
@@ -537,8 +543,10 @@ def test_product_criterion_guard_keeps_the_pair():
     # spoly = y^4 - x^4 is not the difference of the two products' leads
     xyz = ("x", "y", "z")
     f, g = parse_polynomial("x + x*z + y^3", xyz), parse_polynomial("y + y*z + x^3", xyz)
-    lf, lg = (1, 0, 0), (0, 1, 0)
-    assert not _product_criterion(lf, _tail_lead(f.terms, lf), lg, _tail_lead(g.terms, lg))
+    keys = _Keys((1, 1, 1))  # the kernel's monomial keys
+    lf, lg = keys.key((1, 0, 0)), keys.key((0, 1, 0))
+    tf, tg = _tail_lead(keys.keyed(f.terms), lf), _tail_lead(keys.keyed(g.terms), lg)
+    assert not _product_criterion(lf, tf, lg, tg)
     ideal = LocalIdeal(xyz, [f, g, parse_polynomial("z^6", xyz)])
     sb = standard_basis(ideal)
     # (f, g) is reduced; (f, z^6) and (g, z^6) have lcm degree 7 > corner 6
@@ -549,10 +557,14 @@ def test_product_criterion_guard_keeps_the_pair():
 
 def test_product_criterion_skips_coprime_leads_with_distinct_tail_products():
     xyz = ("x", "y", "z")
-    lf, lg, lh = (1, 0, 0), (0, 1, 0), (1, 1, 0)
-    tf, tg = _tail_lead(P("x + y^2", xyz).terms, lf), _tail_lead(P("y + 2*x*z", xyz).terms, lg)
+    keys = _Keys((1, 1, 1))
+
+    def tail_lead(text, lead):
+        return _tail_lead(keys.keyed(P(text, xyz).terms), lead)
+    lf, lg, lh = map(keys.key, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    tf, tg = tail_lead("x + y^2", lf), tail_lead("y + 2*x*z", lg)
     assert _product_criterion(lf, tf, lg, tg)
-    assert not _product_criterion(lf, tf, lh, _tail_lead(P("x*y + z^3", xyz).terms, lh))
+    assert not _product_criterion(lf, tf, lh, tail_lead("x*y + z^3", lh))
 
 
 def _random_isolated_ideal(vars, rng):
@@ -846,3 +858,169 @@ def test_thirty_digit_coefficients_agree_with_oracle():
     assert tau == stabilized_oracle_dim(jacobian_ideal(f, with_f=True))[0]
     assert mu == stabilized_oracle_dim(jacobian_ideal(f))[0]
     assert (tau, mu) == (16, 18)
+
+
+# ---------------------------------------------------------------- weighted orders
+
+# Germs on which the unit-weight order ran past 20 s before the weighted
+# engine: their partials lead with mixed monomials, so nothing is cut.
+CLIFF_GERMS = [
+    (("x", "y", "z"),
+     "-1/2*x*y^3*z^2 - 3*x^5 + 1/2*x^2*y^3 + 2/7*y^4 + 5*z^4 - 1/7*x*y^2 - 3*x*y*z", 12),
+    (XYZW, "2*y^3*z^2*w^3 + x^5 + 2*x^2*z*w + 1/3*w^4 + 1/7*y^3 + 2/7*z^3", 46),
+    (XYZW, "x^3*y^3*z^2*w + x*z^2*w^3 + 3/7*w^6 + 2*y^5 + z^2*w^3 + x^2*z^2 + 5/7*z^4"
+           " - 1/7*x*y*w + 5*x^2", 36),
+]
+GERM_115 = ("-x*y^3*z*w^3 + y^6 - y^2*z^2*w^2 + x^5 + 1/3*w^5 + 2/7*x^2*z*w"
+            " + 2*x*y*z*w - 3/2*y*z^2*w + 1/2*z^3")
+# Fermat weights miss this one: x^2*z has weight 8 < 12 = L
+UNIT_ENGINE_GERM = "3/7*z^6 + 1/7*x^3*y*z + x^4 - 3/7*x*y*z^2 + 2/7*y^4 + x^2*z"
+
+
+@pytest.mark.parametrize("vars,text,mu", CLIFF_GERMS)
+def test_cliff_germs_answer_with_fermat_weights(vars, text, mu):
+    f = parse_polynomial(text, vars)
+    ideal = jacobian_ideal(f)
+    sb, attempts = _germ_basis(ideal, _engines(f))
+    assert sb.weights == _fermat_weights(f) and attempts == 1
+    assert milnor_number(f) == quotient_dim(sb) == mu
+    assert stabilized_oracle_dim(ideal)[0] == mu
+
+
+def test_milnor_number_of_the_115_germ():
+    # The oracle runs past 10 s on this mu, so it is not checked here.  115
+    # is trusted because two independent bounds meet there: the colength of
+    # the unit-weight kernel over F_p (p = 2^31 - 1), an upper bound for the
+    # colength over Q, is 115; and the colength of J + (x^12, y^12, z^12,
+    # w^12), a lower bound, is 114.  The oracle confirms tau = 92 (in about
+    # 2 s, so not here either).  milnor_number is quotient_dim of this basis.
+    f = P(GERM_115)
+    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+    assert (quotient_dim(sb), sb.weights) == (115, (6, 5, 10, 6))
+    assert attempts > 2  # the unit engine had its turns first
+    assert tjurina_number(f) == 92
+
+
+def test_germ_that_fermat_weights_miss_is_answered_by_the_unit_engine():
+    xyz = ("x", "y", "z")
+    f = parse_polynomial(UNIT_ENGINE_GERM, xyz)
+    assert _engines(f) == ((3, 3, 2), None)
+    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+    assert (quotient_dim(sb), sb.weights, attempts) == (21, (1, 1, 1), 2)
+    assert sb.work < FIRST_ATTEMPT_WORK
+    assert milnor_number(f) == 21
+
+
+def test_engines_need_a_pure_power_of_every_variable_and_unequal_weights():
+    assert _engines(P("x^2 + y^3 + z^4 + w^5")) == ((30, 20, 15, 12), None)
+    assert _engines(P("x^3 + y^3 + z^3 + w^3 + x*y*z*w")) == (None,)  # all weights equal
+    assert _engines(P("x^2*y + y^3 + z^2 + w^2")) == (None,)  # no pure power of x
+    # the least pure power of a variable counts
+    assert _fermat_weights(P("x^2 + x^5 + y^3 + z^2 + w^2")) == (3, 2, 3, 3)
+
+
+def _random_weights(n, rng):
+    return tuple(rng.randint(1, 4) for _ in range(n))
+
+
+def _random_member_of(ideal, rng):
+    """A random combination sum c_i * x^e_i * g_i of the generators."""
+    h = Poly.zero(ideal.vars)
+    for g in ideal.generators:
+        e = tuple(rng.randint(0, 2) for _ in ideal.vars)
+        h = h + Poly(ideal.vars, {e: rng.randint(-3, 3)}) * g
+    return h
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_weighted_standard_bases_agree_with_oracle(nvars):
+    rng = random.Random(80 + nvars)
+    vars = XYZW[:nvars]
+    for _ in range(20 if nvars == 2 else 10):
+        ideal = _random_isolated_ideal(vars, rng)
+        weights = tuple(rng.randint(1, 4) for _ in vars)
+        sb = standard_basis(ideal, weights=weights)
+        assert sb.weights == weights
+        assert quotient_dim(sb) == stabilized_oracle_dim(ideal)[0], (ideal, weights)
+        # the corner is one more than the weighted top of the staircase,
+        # and members of the ideal reduce to zero under the same order
+        count, top = _staircase(sb.leading_exponents, nvars, weights)
+        assert (count, top + 1) == (sb.colength, sb.corner)
+        basis = [dict(b.terms) for b in sb.basis]
+        for _ in range(3):
+            h = _random_member_of(ideal, rng)
+            if not h.is_zero():
+                assert mora_normal_form(dict(h.terms), basis, weights=weights) == {}
+
+
+def test_colength_does_not_depend_on_the_weights():
+    rng = random.Random(90)
+    for ideal in _seeded_ideals():
+        weights = tuple(rng.randint(1, 5) for _ in ideal.vars)
+        assert quotient_dim(standard_basis(ideal, weights=weights)) == \
+            quotient_dim(standard_basis(ideal)), (ideal, weights)
+
+
+def test_unit_weights_are_the_default_order():
+    rng = random.Random("rational/0")
+    for _ in range(10):
+        ideal = _random_rational_ideal(rng)
+        default = standard_basis(ideal)
+        unit = standard_basis(ideal, weights=(1,) * len(ideal.vars))
+        assert _basis_record(unit) == _basis_record(default)
+        assert default.weights == (1,) * len(ideal.vars)
+
+
+def test_weights_are_checked():
+    ideal = jacobian_ideal(P("x^2 + y^3 + z^4 + w^5"))
+    for bad in [(1, 2, 3), (1, 2, 3, 0), (1, 2, 3, Fraction(1, 2))]:
+        with pytest.raises(ValueError, match="positive integers"):
+            standard_basis(ideal, weights=bad)
+
+
+def test_repeated_call_is_answered_by_the_same_engine_with_the_same_counts():
+    def record(text, vars):
+        f = parse_polynomial(text, vars)
+        sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+        return (sb.weights, attempts, sb.work, _basis_record(sb))
+    for vars, text, _ in CLIFF_GERMS + [(("x", "y", "z"), UNIT_ENGINE_GERM, 21)]:
+        assert record(text, vars) == record(text, vars)
+
+
+def test_local_work_limit_caps_every_attempt_together(monkeypatch):
+    import singkit.localring as localring
+    calls = []
+
+    def recording(ideal, *, weights=None, work=None):
+        calls.append((weights, work.left, work.final))
+        return standard_basis(ideal, weights=weights, work=work)
+    monkeypatch.setattr(localring, "standard_basis", recording)
+    monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 50_000)
+    with pytest.raises(LocalWorkLimitError, match="over 50000 units"):
+        milnor_number(P(GERM_115))
+    given = [n for _, n, _ in calls]
+    assert given[:4] == [4096, 4096, 8192, 8192]
+    assert sum(given) == 50_000 and [final for *_, final in calls][-1]
+    assert [w for w, *_ in calls][:2] == [(6, 5, 10, 6), None]
+
+
+NON_ISOLATED = ["3*x^4*y^4*z^2 + 2*x^3*y^2*z^3 + 3*x^2*y^4*z^2 + 2*x^2*y^2*z^3", "y^5",
+                "x^2*y*z^3 - y^4*z + 2*y^3*z",
+                "-2*x^4*y^2*z^3 + x^2*y*z^3 + x*y*z^4 - 3*x*y*z^3"]
+
+
+def test_local_work_limit_ends_a_standard_basis_that_would_not(monkeypatch):
+    # a non-isolated ideal that the axis certificate does not see: its
+    # standard basis ran past 30 s before the limit; with the limit in
+    # place it ends with LocalWorkLimitError (about 8 s at the real limit)
+    import singkit.localring as localring
+    monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 200_000)
+    xyz = ("x", "y", "z")
+    ideal = LocalIdeal(xyz, [parse_polynomial(t, xyz) for t in NON_ISOLATED])
+    with pytest.raises(LocalWorkLimitError):
+        quotient_dim(standard_basis(ideal))
+    # a public normal form has the same limit: its first step, on two
+    # terms, already costs 2
+    monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 1)
+    with pytest.raises(LocalWorkLimitError):
+        mora_normal_form({(2, 0, 0): 1, (0, 2, 0): 1}, [{(1, 0, 0): 1}, {(0, 1, 0): 1}])

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from singkit.errors import ParseError
 from singkit.poly import (
+    PARSE_WORK_LIMIT,
     Poly,
     PolyMatrix,
+    _height,
+    _power_cost,
     discriminant,
     parse_polynomial,
     resultant,
@@ -74,6 +77,10 @@ def test_parse_deep_nesting_is_a_parse_error():
     ("(x+y+z+w)^40*(x+y+z+w)^40", 9),
     ("+".join(["(x+y+z+w)^15"] * 5), 61),   # each power is cheap; all five are not
     ("(x+y)^400", 5),
+    # coefficient size is charged too: products on thousands of digits
+    ("(123456789012345678901234567890/7*x + 98765432109876543210/11*y)^222", 64),
+    ("(123456789^10000)^10000", 17),
+    ("2^99999999", 1),
 ])
 def test_parse_refuses_expansions_past_the_work_limit(text, at):
     with pytest.raises(ParseError) as err:
@@ -87,6 +94,14 @@ def test_parse_expands_within_the_work_limit():
     assert len(f.terms) == 61 and f.terms[(30, 30, 0, 0)] == math.comb(60, 30)
     assert len(P("+".join(["(x+y+z+w)^15"] * 4)).terms) == math.comb(18, 3)
     assert P("(x+y+z+w)^10*(x-y+z-w)^5") == P("(x+y+z+w)^10") * P("(x-y+z-w)^5")
+    # coefficients +-1 cost no more than before, and moderate ones little;
+    # the two largest powers within the limit take about 0.4 s each to
+    # expand, so only their charge is checked
+    for text, k in [("x+y+z+w", 21), ("x+y", 222)]:
+        p = P(text)
+        assert _power_cost(len(p.terms), k, _height(p)) <= PARSE_WORK_LIMIT
+    assert P("(2/3*x+5/7*y)^100").terms[(100, 0, 0, 0)] == Fraction(2, 3) ** 100
+    assert P("123456789^10000").terms[(0, 0, 0, 0)] == 123456789 ** 10000
 
 
 def test_powers_of_zero_are_not_expanded():
