@@ -12,7 +12,7 @@ The package computes, over the rationals and without floating point:
   with exact verification of its defining identities.
 """
 
-from .errors import ConfigError, ConsistencyError, ParseError
+from .errors import ConfigError, ConsistencyError, LocalWorkLimitError, ParseError
 from .poly import (
     Poly,
     PolyMatrix,
@@ -85,7 +85,7 @@ from .defspace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ConsistencyError", "ParseError",
+    "ConfigError", "ConsistencyError", "LocalWorkLimitError", "ParseError",
     "Poly", "PolyMatrix", "parse_polynomial", "univariate_gcd",
     "resultant", "discriminant",
     "INFINITE", "LocalIdeal", "StandardBasis", "standard_basis",

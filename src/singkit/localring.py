@@ -130,24 +130,15 @@ FIRST_ATTEMPT_WORK = 4096
 
 # -- the local order ----------------------------------------------------------
 
-def order_key(exps):
-    """Sort key: smaller key = bigger monomial in neg-degrevlex."""
-    return (sum(exps), exps[::-1])
-
-
-def leading_exponent(terms):
-    return min(terms, key=order_key)
-
-
 class _Keys:
     """Monomial keys of the local order with positive integer weights w.
 
     The kernel keys a term with exponent e by (<w, e>, e_n, ..., e_1).
     Keys of a product add, one key divides another componentwise exactly
     when the exponents do, key[0] is the degree, and the smaller key is the
-    bigger monomial (degree, then reverse lex: `order_key` for unit
-    weights).  So min(terms) is the lead and max(terms)[0] the top degree,
-    with no key function.  One object is bound per `standard_basis` call.
+    bigger monomial (degree, then reverse lex).  So min(terms) is the lead
+    and max(terms)[0] the top degree, with no key function.  One object is
+    bound per `standard_basis` call.
     """
 
     __slots__ = ("weights", "_reversed")
@@ -160,15 +151,14 @@ class _Keys:
         return (sum(map(operator.mul, self.weights, e)),) + e[::-1]
 
     def keyed(self, terms):
-        w = self.weights
-        if not any(x != 1 for x in w):
-            return {(sum(e),) + e[::-1]: c for e, c in terms.items()}
-        mul = operator.mul
-        return {(sum(map(mul, w, e)),) + e[::-1]: c for e, c in terms.items()}
+        return {self.key(e): c for e, c in terms.items()}
 
     def lcm(self, a, b):
         r = tuple(map(max, a[1:], b[1:]))
         return (sum(map(operator.mul, self._reversed, r)),) + r
+
+    def lcm_degree(self, a, b):
+        return sum(map(operator.mul, self._reversed, map(max, a[1:], b[1:])))
 
 
 def _exponent(key):
@@ -521,7 +511,7 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
         tails.append(_tail_lead(g, lead))
 
     def push(i, j):
-        heapq.heappush(pairs, (keys.lcm(leads[i], leads[j])[0], next(count), i, j))
+        heapq.heappush(pairs, (keys.lcm_degree(leads[i], leads[j]), next(count), i, j))
 
     for g in ideal.generators:
         add(keys.keyed(_primitive(g.terms)))
@@ -603,9 +593,11 @@ def _fermat_weights(f: Poly):
     all have degree L.  None when some variable has no pure power in f."""
     least = {}
     for e in f.terms:
-        if sum(map(bool, e)) == 1:
-            i, a = next((i, a) for i, a in enumerate(e) if a)
-            least[i] = min(a, least.get(i, a))
+        nonzero = [i for i, a in enumerate(e) if a]
+        if len(nonzero) == 1:
+            i = nonzero[0]
+            if e[i] < least.get(i, e[i] + 1):
+                least[i] = e[i]
     if len(least) < len(f.vars):
         return None
     lcm = math.lcm(*least.values())

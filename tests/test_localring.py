@@ -19,7 +19,6 @@ from singkit.localring import (
     _product_criterion,
     _staircase,
     _tail_lead,
-    leading_exponent,
     milnor_number,
     mora_normal_form,
     quasi_homogeneous_weights,
@@ -271,6 +270,12 @@ def test_non_isolated_ideal_has_no_corner():
     sb = standard_basis(jacobian_ideal(P("x^2 + y^2"), with_f=True))
     assert sb.corner is None
     assert quotient_dim(sb) == INFINITE
+
+
+def leading_exponent(terms):
+    """The lead of plain exponent terms under unit weights: least total
+    degree, then reverse lex."""
+    return min(terms, key=lambda e: (sum(e), e[::-1]))
 
 
 def _random_member(gens, rng):
