@@ -122,7 +122,7 @@ INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
 # standard_basis call or one mora_normal_form call may spend; past it,
 # LocalWorkLimitError.  A Mora reduction step costs the terms of its
 # remainder times the 64-bit words of its leading coefficient.
-LOCAL_WORK_LIMIT = 2**24
+LOCAL_WORK_LIMIT = 2**26
 # Work of each engine's first attempt in milnor_number and tjurina_number;
 # every round of attempts doubles it.
 FIRST_ATTEMPT_WORK = 4096
@@ -296,8 +296,10 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
     le = operator.le
     while h:
         lh = min(h)
-        # a step costs its remainder's terms times its lead coefficient's words
-        work.left -= len(h) * (1 + (h[lh].bit_length() >> 6))
+        # a step costs the remainder's terms times its lead coefficient's
+        # words, and that again times the words of the multiplier below
+        cost = len(h) * (1 + (h[lh].bit_length() >> 6))
+        work.left -= cost
         if work.left < 0:
             raise work.exhausted()
         if bound is not None and lh[0] >= bound:
@@ -319,6 +321,7 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
         # h <- (c_g/d)*h - (c_h/d)*x^s*g, then divide out the content
         d = math.gcd(h[lh], g[lg])
         a, b = g[lg] // d, h[lh] // d
+        work.left -= cost * (a.bit_length() >> 6)
         if a != 1:
             for e in h:
                 h[e] *= a
