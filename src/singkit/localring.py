@@ -47,11 +47,10 @@ every germ, so `milnor_number` and `tjurina_number` run two engines
 round-robin, those weights first and unit weights second (`_germ_basis`).
 Each attempt runs under a budget of work that doubles every round, and
 the first engine to finish gives the answer.  Work is counted in Mora
-reduction steps, each weighted by its size (the terms of its remainder
-times the 64-bit words of its leading coefficient), never in seconds, so
-the engine that answers does not depend on the host.  `LOCAL_WORK_LIMIT`
-caps the work of all attempts of one number, and of one `standard_basis`
-or `mora_normal_form` call.
+reduction steps, each weighted by its size (see LOCAL_WORK_LIMIT), never
+in seconds, so the engine that answers does not depend on the host.
+`LOCAL_WORK_LIMIT` caps the work of all attempts of one number, and of
+one `standard_basis` or `mora_normal_form` call.
 
 Most S-pairs reduce to zero, and two criteria skip them unreduced
 (Buchberger; Gebauer-Moeller 1988; Greuel-Pfister 1.7 and 2.5).  The
@@ -105,6 +104,7 @@ accepts and returns Poly objects over Q.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -120,8 +120,14 @@ INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
 
 # Work that one tau or mu (all engine attempts together), one
 # standard_basis call or one mora_normal_form call may spend; past it,
-# LocalWorkLimitError.  A Mora reduction step costs the terms of its
-# remainder times the 64-bit words of its leading coefficient.
+# LocalWorkLimitError.  A Mora reduction step on a remainder of t terms
+# costs t * (1 + b_h // 64) * (1 + b_a // 64), for b_h the bits of the
+# remainder's lead coefficient and b_a those of the multiplier that scales
+# the remainder: about the word operations of that scaling.  Bare step
+# counts do not track time, because coefficients grow as a run goes on.
+# The limit is about 24 times the Fermat engine's work on mu of the
+# hardest germ in tests/test_localring.py (GERM_115), and ends the
+# non-isolated ideal there in about 2 s.
 LOCAL_WORK_LIMIT = 2**26
 # Work of each engine's first attempt in milnor_number and tjurina_number;
 # every round of attempts doubles it.
@@ -151,7 +157,8 @@ class _Keys:
         return (sum(map(operator.mul, self.weights, e)),) + e[::-1]
 
     def keyed(self, terms):
-        return {self.key(e): c for e, c in terms.items()}
+        w, mul = self.weights, operator.mul
+        return {(sum(map(mul, w, e)),) + e[::-1]: c for e, c in terms.items()}
 
     def lcm(self, a, b):
         r = tuple(map(max, a[1:], b[1:]))
@@ -267,10 +274,9 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
     any finite set of elements of the ideal whose leads leave finitely
     many monomials outside.
 
-    Every reduction step spends its remainder's terms times the words of
-    its leading coefficient from `work` (a `_Work`, shared with the
-    caller); without it, the call may spend LOCAL_WORK_LIMIT and raises
-    LocalWorkLimitError past it.
+    Every reduction step spends its cost (see LOCAL_WORK_LIMIT) from
+    `work` (a `_Work`, shared with the caller); without it, the call may
+    spend LOCAL_WORK_LIMIT and raises LocalWorkLimitError past it.
     """
     if not f:
         return {}
@@ -293,11 +299,15 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
     h = f if bound is None else _truncate(f, bound)
     if h:
         h = _primitive(h)
+    # reducers by ecart, ties in the order given (sorting is stable), so the
+    # first whose lead divides lh is the first of least ecart
+    ecart = operator.itemgetter(1)
+    pool.sort(key=ecart)
     le = operator.le
     while h:
         lh = min(h)
-        # a step costs the remainder's terms times its lead coefficient's
-        # words, and that again times the words of the multiplier below
+        # a step's cost (see LOCAL_WORK_LIMIT); the multiplier's words are
+        # charged once it is known
         cost = len(h) * (1 + (h[lh].bit_length() >> 6))
         work.left -= cost
         if work.left < 0:
@@ -305,19 +315,13 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
         if bound is not None and lh[0] >= bound:
             h = {}
             break
-        # the first reducer of least ecart whose lead divides lh
-        best, least = None, math.inf
-        for entry in pool:
-            if entry[1] < least and all(map(le, entry[0], lh)):
-                best, least = entry, entry[1]
-                if not least:
-                    break
+        best = next((entry for entry in pool if all(map(le, entry[0], lh))), None)
         if best is None:
             break
         lg, eg, g = best
         eh = max(h)[0] - lh[0]
         if eg > eh:
-            pool.append((lh, eh, dict(h)))
+            bisect.insort(pool, (lh, eh, dict(h)), key=ecart)
         # h <- (c_g/d)*h - (c_h/d)*x^s*g, then divide out the content
         d = math.gcd(h[lh], g[lg])
         a, b = g[lg] // d, h[lh] // d
@@ -496,9 +500,10 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
         nonlocal corner, colength
         lead = min(g)
         leads.append(lead)
-        exps.append(_exponent(lead))
-        if sum(map(bool, exps[-1])) == 1:
-            powers.add(next(i for i, a in enumerate(exps[-1]) if a))
+        e = _exponent(lead)
+        exps.append(e)
+        if e.count(0) == n - 1:
+            powers.add(e.index(max(e)))
         # the staircase is finite once every variable has a pure power
         if len(powers) == n:
             colength, top = _staircase(exps, n, weights)
@@ -594,14 +599,15 @@ def _fermat_weights(f: Poly):
     """Weights L/a_i from the least pure power x_i^a_i of each variable
     in f, L the lcm of the a_i: the weights under which f's pure powers
     all have degree L.  None when some variable has no pure power in f."""
+    n = len(f.vars)
     least = {}
     for e in f.terms:
-        nonzero = [i for i, a in enumerate(e) if a]
-        if len(nonzero) == 1:
-            i = nonzero[0]
-            if e[i] < least.get(i, e[i] + 1):
-                least[i] = e[i]
-    if len(least) < len(f.vars):
+        if e.count(0) == n - 1:
+            a = max(e)
+            i = e.index(a)
+            if a < least.get(i, a + 1):
+                least[i] = a
+    if len(least) < n:
         return None
     lcm = math.lcm(*least.values())
     return tuple(lcm // least[i] for i in range(len(f.vars)))

@@ -1017,7 +1017,7 @@ NON_ISOLATED = ["3*x^4*y^4*z^2 + 2*x^3*y^2*z^3 + 3*x^2*y^4*z^2 + 2*x^2*y^2*z^3",
 def test_local_work_limit_ends_a_standard_basis_that_would_not(monkeypatch):
     # a non-isolated ideal that the axis certificate does not see: its
     # standard basis ran past 30 s before the limit; with the limit in
-    # place it ends with LocalWorkLimitError (about 8 s at the real limit)
+    # place it ends with LocalWorkLimitError (about 2 s at the real limit)
     import singkit.localring as localring
     monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 200_000)
     xyz = ("x", "y", "z")
