@@ -157,8 +157,7 @@ class _Keys:
         return (sum(map(operator.mul, self.weights, e)),) + e[::-1]
 
     def keyed(self, terms):
-        w, mul = self.weights, operator.mul
-        return {(sum(map(mul, w, e)),) + e[::-1]: c for e, c in terms.items()}
+        return {self.key(e): c for e, c in terms.items()}
 
     def lcm(self, a, b):
         r = tuple(map(max, a[1:], b[1:]))
