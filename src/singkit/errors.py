@@ -26,5 +26,5 @@ class ConsistencyError(ValueError):
 
 
 class LocalWorkLimitError(ValueError):
-    """Raised when a local standard basis computation passes the step
+    """Raised when a local standard basis computation passes the work
     limit of `singkit.localring` (LOCAL_WORK_LIMIT)."""

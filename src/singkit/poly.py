@@ -372,7 +372,7 @@ def _height(p):
                 for c in p.terms.values()), default=0)
 
 
-def _power_cost(t, k, bits=0):
+def _power_cost(t, k, bits):
     """Term multiplications that p**k costs for p with t terms of height
     `bits` (`_height`), or some number above PARSE_WORK_LIMIT.  p^j has at
     most C(j+t-1, t-1) terms, so the k steps of p^(j+1) = p^j * p make at

@@ -15,6 +15,7 @@ from singkit.localring import (
     _fermat_weights,
     _germ_basis,
     _Keys,
+    _Work,
     _misses_an_axis,
     _product_criterion,
     _staircase,
@@ -1007,6 +1008,18 @@ def test_local_work_limit_caps_every_attempt_together(monkeypatch):
     assert given[:4] == [4096, 4096, 8192, 8192]
     assert sum(given) == 50_000 and [final for *_, final in calls][-1]
     assert [w for w, *_ in calls][:2] == [(6, 5, 10, 6), None]
+
+
+def test_a_step_costs_terms_times_lead_and_multiplier_words():
+    c = 2**130 + 1  # 131 bits: 1 + 131 // 64 = 3 words
+    work = _Work(100)
+    h = mora_normal_form({(1, 0, 0): 1, (0, 1, 0): 1},
+                         [{(1, 0, 0): c, (0, 2, 0): 1}, {(0, 1, 0): 1}], work=work)
+    assert h == {}
+    # x + y against c*x + y^2 (multiplier c): 2 terms * 1 * 3; then
+    # c*y - y^2 (lead coefficient c) against y (multiplier 1): 2 * 3 * 1;
+    # then -y^2 against y: 1
+    assert 100 - work.left == 6 + 6 + 1
 
 
 NON_ISOLATED = ["3*x^4*y^4*z^2 + 2*x^3*y^2*z^3 + 3*x^2*y^4*z^2 + 2*x^2*y^2*z^3", "y^5",
