@@ -41,8 +41,9 @@ soon truncation starts.  Under unit weights the partials of a germ can
 lead with mixed monomials, so that no variable has a pure-power lead and
 nothing is cut for a long time.  Weights w_i = L/a_i taken from the pure
 powers x_i^a_i of the germ (L the lcm of the a_i) give every x_i^a_i the
-same degree L, and for a semi-quasi-homogeneous germ the pure powers of
-the partials lead from the first generator on.  No single order wins on
+same degree L; when every other term of the germ has degree above L (a
+Brieskorn-Pham germ plus terms above its Newton diagonal), x_i^(a_i - 1)
+leads the partial in x_i from the first generator on.  No single order wins on
 every germ, so `milnor_number` and `tjurina_number` run two engines
 round-robin, those weights first and unit weights second (`_germ_basis`).
 Each attempt runs under a budget of work that doubles every round, and
