@@ -27,11 +27,14 @@ from .errors import ConfigError
 from .poly import Poly, discriminant, PolyMatrix, univariate_gcd
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
-# and evaluating the polynomial at a candidate root is 50 steps per term.
-# Chosen by measurement (Python 3.11.7, 2-core VM): a trial division takes
-# 0.12 us and an evaluation 16-63 us for n = 3..10 (5-6 us per term), so
-# the slowest accepted search takes about 0.25 s.
+# and testing a candidate root with integer Horner is HORNER_STEPS per
+# coefficient.  Chosen by measurement (Python 3.11.7, 2-core VM): a trial
+# division takes 0.11 us, and a Horner pass 0.19-0.26 us per coefficient
+# for n = 3..10 and coefficients up to 10^12, about 0.4 us with the
+# per-candidate gcd and loop; whole searches ran at 0.06-0.13 us per
+# charged step, so the slowest accepted search takes about 0.25 s.
 ROOT_SEARCH_LIMIT = 2_000_000
+HORNER_STEPS = 4
 
 
 def _b_names(n):
@@ -261,10 +264,11 @@ def _rational_roots(p: Poly, name: str, assign) -> list:
     """Distinct rational roots of a univariate-in-`name` polynomial with
     rational coefficients (other ambient variables already numeric).
 
-    The candidates are +-a/b, a dividing the trailing and b the leading
-    coefficient once denominators are cleared.  The search is charged
-    against ROOT_SEARCH_LIMIT before it runs; past it, ConfigError names
-    the larger of the two coefficients."""
+    Once denominators are cleared to integers c_k, a nonzero root a/b in
+    lowest terms has a dividing the trailing and b the leading
+    coefficient, and sum_k c_k a^k b^(d-k) = 0, which integer Horner tests
+    exactly.  The search is charged against ROOT_SEARCH_LIMIT before it
+    runs; past it, ConfigError names the larger of the two coefficients."""
     deg = p.degree_in(name)
     coeffs = [p.coefficient_in(name, k).constant_term() for k in range(deg + 1)]
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
@@ -279,20 +283,24 @@ def _rational_roots(p: Poly, name: str, assign) -> list:
     steps = math.isqrt(abs(trail)) + math.isqrt(abs(lead))
     if steps <= ROOT_SEARCH_LIMIT:
         nums, dens = _divisors(trail), _divisors(lead)
-        steps += 2 * len(nums) * len(dens) * 50 * len(p.terms)  # two signs per p/q
+        # two signs per a/b, each a Horner pass over deg - low + 1 coefficients
+        steps += 2 * len(nums) * len(dens) * HORNER_STEPS * (deg - low + 1)
     if steps > ROOT_SEARCH_LIMIT:
         raise ConfigError(f"coefficient {ints[k]} of {name}^{k} too large to search "
                           f"for rational roots (over {ROOT_SEARCH_LIMIT} steps)")
-    seen = set()
-    for pnum in nums:
-        for qden in dens:
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, qden)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p.evaluate({name: cand, **assign}) == 0:
-                    roots.append(cand)
+    # the nonzero roots are those of sum_k c_(k+low) w^k; leading coefficient first
+    top, *rest = reversed(ints[low:])
+    for b in dens:
+        powers = [b ** j for j in range(1, len(rest) + 1)]
+        for a in nums:
+            if math.gcd(a, b) != 1:
+                continue  # a/b is also the candidate in lowest terms
+            for s in (a, -a):
+                acc = top
+                for c, bj in zip(rest, powers):
+                    acc = acc * s + c * bj
+                if not acc:
+                    roots.append(Fraction(s, b))
     return sorted(roots)
 
 

@@ -99,8 +99,19 @@ exponents, ecarts and tail leads; the product criterion and the chain
 criterion read only those, and the corner reads only the leads.  So the
 pairs, the normal forms that vanish, the elements that enter and the
 corner are those of the rational computation, and making each kept
-element monic at the end gives its basis exactly.  The public surface
-accepts and returns Poly objects over Q.
+element monic gives its basis exactly.  The public surface accepts and
+returns Poly objects over Q.
+
+`tjurina_number` and `milnor_number` build their generators, f and its
+partials, once as primitive integer polynomials straight from f's terms
+(`_germ_generators`), and hand them to the kernel in a `LocalIdeal` made
+from those integers.  A partial of a positive rational multiple of f is a
+positive multiple of f's partial, and the primitive integer polynomial
+that is a positive multiple of a given one is unique, so this is the
+ideal, and exactly the kernel input, that the Poly generators give: the
+same pairs, normal forms, work and answering engine.  Only the colength
+is read there, so a `StandardBasis` keeps its elements and makes its
+minimal monic `basis` and its `leading_exponents` on first read.
 """
 
 from __future__ import annotations
@@ -110,8 +121,9 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import LocalWorkLimitError
@@ -411,15 +423,40 @@ class LocalIdeal:
             raise ValueError("no nonzero generators")
         self.generators = tuple(gens)
 
+    @classmethod
+    def _of(cls, vars: tuple, primitives: list) -> "LocalIdeal":
+        """The ideal of nonzero primitive integer polynomials keyed by
+        exponent tuples, none with a constant term, unchecked: only for
+        generators that `_germ_colength` built.  Its Poly `generators`
+        are made on first read."""
+        ideal = cls.__new__(cls)
+        ideal.vars = vars
+        ideal._primitives = tuple(primitives)
+        return ideal
+
+    @cached_property
+    def generators(self):
+        return tuple(Poly._of(self.vars, {e: Fraction(c) for e, c in g.items()})
+                     for g in self._primitives)
+
+    @cached_property
+    def _primitives(self):
+        """The generators as primitive integer polynomials (`_primitive`):
+        what `standard_basis` starts from."""
+        return tuple(_primitive(g.terms) for g in self.generators)
+
     def __repr__(self):
         return f"LocalIdeal({self.vars!r}, [{', '.join(map(str, self.generators))}])"
 
 
 @dataclass(frozen=True)
 class StandardBasis:
+    """A standard basis of `ideal` and how it was computed.
+
+    `basis` (minimal, each element monic) and `leading_exponents` are made
+    from the kept elements on first read: the colength and the corner do
+    not need them."""
     ideal: LocalIdeal
-    basis: tuple
-    leading_exponents: tuple
     # certified degree N of the order with F_N inside the ideal: one more
     # than the degree of the highest corner; None when infinitely many
     # monomials lie outside the leading ideal (some variable has no pure
@@ -438,10 +475,33 @@ class StandardBasis:
     # and the work its normal forms spent (see LOCAL_WORK_LIMIT)
     weights: tuple = ()
     work: int = 0
+    # the kept elements, (lead key, ecart, primitive integer terms keyed by
+    # monomial keys), in the order they entered
+    _elements: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def vars(self):
         return self.ideal.vars
+
+    @cached_property
+    def _minimal(self):
+        """The kept elements whose lead no other lead divides (of equal
+        leads, the first)."""
+        leads = [lead for lead, _, _ in self._elements]
+        return tuple(
+            (lead, terms) for i, (lead, _, terms) in enumerate(self._elements)
+            if not any(_divides(other, lead) and (other != lead or j < i)
+                       for j, other in enumerate(leads) if j != i))
+
+    @cached_property
+    def basis(self):
+        return tuple(Poly._of(self.vars, {_exponent(k): Fraction(c, terms[lead])
+                                          for k, c in terms.items()})
+                     for lead, terms in self._minimal)
+
+    @cached_property
+    def leading_exponents(self):
+        return tuple(_exponent(lead) for lead in sorted(lead for lead, _ in self._minimal))
 
 
 def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBasis:
@@ -473,11 +533,13 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
     without a normal form; the module docstring proves both for the local
     order and for truncated elements.
 
-    Elements are kept as primitive integer polynomials keyed by the
-    order's monomial keys (`_Keys`), with their lead, ecart and tail lead,
-    computed when they enter or are cut; the basis is made monic once,
-    from the kept elements.  The staircase that sets the corner also gives
-    the colength, recorded as `colength`.
+    The generators enter as the ideal's primitive integer polynomials.
+    Elements are kept as such polynomials keyed by the order's monomial
+    keys (`_Keys`), with their lead, ecart and tail lead, computed when
+    they enter or are cut; the minimal monic basis is made from the kept
+    elements when `basis` or `leading_exponents` is first read.  The
+    staircase that sets the corner also gives the colength, recorded as
+    `colength`.
 
     The normal forms spend `work` (a `_Work`); without it, the call may
     spend LOCAL_WORK_LIMIT and raises LocalWorkLimitError past it.
@@ -522,8 +584,8 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
     def push(i, j):
         heapq.heappush(pairs, (keys.lcm_degree(leads[i], leads[j]), next(count), i, j))
 
-    for g in ideal.generators:
-        add(keys.keyed(_primitive(g.terms)))
+    for g in ideal._primitives:
+        add(keys.keyed(g))
     for i, j in itertools.combinations(range(len(G)), 2):
         push(i, j)
     popped = set()          # pairs (i, j), i < j, taken from the heap
@@ -553,25 +615,10 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
             for k in range(len(G) - 1):
                 push(k, len(G) - 1)
 
-    # minimalize: keep only leading exponents not divisible by another
-    keep = []
-    for i, le in enumerate(leads):
-        dominated = any(
-            _divides(leads[j], le) and (leads[j] != le or j < i)
-            for j in range(len(G))
-            if j != i
-        )
-        if not dominated:
-            keep.append(i)
-    basis = tuple(Poly._of(ideal.vars, {_exponent(k): Fraction(c, terms[lead])
-                                        for k, c in terms.items()})
-                  for lead, _, terms in map(G.__getitem__, keep))
-    lexps = tuple(_exponent(lead) for lead in sorted(leads[i] for i in keep))
-    return StandardBasis(ideal=ideal, basis=basis, leading_exponents=lexps, corner=corner,
-                         colength=colength, normal_forms=normal_forms,
-                         product_skips=product_skips, chain_skips=chain_skips,
-                         left_at_corner=left_at_corner, weights=weights,
-                         work=start - work.left)
+    return StandardBasis(ideal=ideal, corner=corner, colength=colength,
+                         normal_forms=normal_forms, product_skips=product_skips,
+                         chain_skips=chain_skips, left_at_corner=left_at_corner,
+                         weights=weights, work=start - work.left, _elements=tuple(G))
 
 
 def quotient_dim(sb: StandardBasis):
@@ -583,16 +630,12 @@ def quotient_dim(sb: StandardBasis):
 
 # -- the classical invariants ---------------------------------------------------
 
-def _jacobian_gens(f: Poly):
-    return [f.differentiate(v) for v in f.vars]
-
-
 def _misses_an_axis(gens, nvars):
     """True when some variable x_j is a pure power in no term of any
-    generator.  Every generator then vanishes on the x_j-axis, so the
-    ideal lies in the ideal of that axis and its colength is infinite."""
-    axes = {next(i for i, a in enumerate(e) if a)
-            for g in gens for e in g.terms if sum(map(bool, e)) == 1}
+    generator (dicts keyed by exponent tuples).  Every generator then
+    vanishes on the x_j-axis, so the ideal lies in the ideal of that axis
+    and its colength is infinite."""
+    axes = {e.index(max(e)) for g in gens for e in g if e.count(0) == nvars - 1}
     return len(axes) < nvars
 
 
@@ -648,33 +691,51 @@ def _germ_basis(ideal: LocalIdeal, engines):
         given *= 2
 
 
-def _germ_colength(f: Poly, gens, name):
-    """Colength of the ideal of the nonzero `gens` built from the germ f:
-    0 when one of them is a unit, INFINITE when they all vanish on a
-    coordinate axis, else counted on the standard basis of the first
-    of f's engines to finish (`_germ_basis`)."""
+def _germ_generators(f: Poly, with_f):
+    """The generators of the Jacobian ideal of f, with f first when
+    `with_f`, as primitive integer polynomials keyed by exponent tuples:
+    f's primitive multiple (`_primitive`), then its nonzero partials
+    d/dx_1, ..., d/dx_n, each divided by its content.  A partial of a
+    positive multiple of f is a positive multiple of f's partial, so each
+    is `_primitive` of the Poly generator it stands for."""
+    g = _primitive(f.terms)
+    gens = [g] if with_f else []
+    for i in range(len(f.vars)):
+        d = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
+        if d:
+            k = math.gcd(*d.values())
+            gens.append({e: c // k for e, c in d.items()} if k != 1 else d)
+    return gens
+
+
+def _germ_colength(f: Poly, name, with_f):
+    """Colength of the ideal of `_germ_generators(f, with_f)`: 0 when one
+    of them is a unit, INFINITE when they all vanish on a coordinate
+    axis, else counted on the standard basis of the first of f's engines
+    to finish (`_germ_basis`)."""
     if f.is_zero():
         raise ValueError(f"{name} of the zero polynomial is undefined")
-    if f.constant_term():
+    origin = (0,) * len(f.vars)
+    if origin in f.terms:
         raise ValueError("germ must vanish at the origin")
-    gens = [g for g in gens if not g.is_zero()]
-    if any(g.constant_term() for g in gens):
+    gens = _germ_generators(f, with_f)
+    if any(origin in g for g in gens):
         return 0  # unit partial derivative: smooth point
     if _misses_an_axis(gens, len(f.vars)):
         return INFINITE
-    return quotient_dim(_germ_basis(LocalIdeal(f.vars, gens), _engines(f))[0])
+    return quotient_dim(_germ_basis(LocalIdeal._of(f.vars, gens), _engines(f))[0])
 
 
 def milnor_number(f: Poly):
     """Colength of the gradient ideal; INFINITE for a non-isolated
     critical point, 0 for a smooth point of f - f(0)."""
-    return _germ_colength(f, _jacobian_gens(f), "Milnor number")
+    return _germ_colength(f, "Milnor number", False)
 
 
 def tjurina_number(f: Poly):
     """Colength of (f) + gradient ideal; INFINITE for non-isolated
     singularities, 0 for smooth points."""
-    return _germ_colength(f, [f] + _jacobian_gens(f), "Tjurina number")
+    return _germ_colength(f, "Tjurina number", True)
 
 
 # -- truncated linear-algebra oracle --------------------------------------------

@@ -129,12 +129,34 @@ def test_rational_root_search_is_bounded():
     # sqrt(4e12 + 1) trial divisions alone pass the limit; nothing is divided
     with pytest.raises(ConfigError, match=r"^coefficient 4000000000001 of w\^0 too large"):
         fiber_count(m, [0, 4 * 10**12 + 1])
-    # under a million trial divisions, but 6720 divisors give too many candidates
-    with pytest.raises(ConfigError, match=r"^coefficient 963761198400 of w\^0 too large"):
-        fiber_count(m, [0, 963_761_198_400])
+    # under a million trial divisions and 6720 divisors, each candidate
+    # tested with integer Horner: w^3 + 963761198400 has no rational root
+    fib = fiber_count(m, [0, 963_761_198_400])
+    assert fib.count == 3 and fib.points == ()
+    # 576 divisors of the numerator times 128 of the denominator give too
+    # many candidates, though trial division alone is well inside the limit
+    num, den = 2**5 * 3**3 * 5**2 * 7 * 11 * 13, 17 * 19 * 23 * 29 * 31 * 37 * 41
+    with pytest.raises(ConfigError, match=rf"^coefficient {den} of w\^3 too large"):
+        fiber_count(m, [0, Fraction(num, den)])
     # denominators are cleared first, so the leading coefficient can be the large one
     with pytest.raises(ConfigError, match=r"^coefficient 10{15} of w\^3 too large"):
         fiber_count(m, [0, Fraction(1, 10**15)])
+
+
+def test_fiber_points_are_the_rational_roots_put_in():
+    # P = prod(w - r_i) with rational r_i summing to zero (P has no w^(n-1)
+    # term), so its rational roots are exactly the distinct r_i
+    rng = random.Random(41)
+    for n in range(2, 7):
+        m = build(n)
+        for _ in range(10):
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
+            roots.append(-sum(roots))
+            coeffs = [Fraction(1)]  # of P, highest degree first
+            for r in roots:
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            fib = fiber_count(m, coeffs[2:])
+            assert [p.lam for p in fib.points] == sorted(set(roots)), roots
 
 
 def test_jacobian_cofactor_value():

@@ -14,9 +14,11 @@ from singkit.localring import (
     _engines,
     _fermat_weights,
     _germ_basis,
+    _germ_generators,
     _Keys,
     _Work,
     _misses_an_axis,
+    _primitive,
     _product_criterion,
     _staircase,
     _tail_lead,
@@ -651,7 +653,7 @@ def test_axis_certificate_against_brute_force(nvars):
         for with_f in (True, False):
             ideal = jacobian_ideal(f, with_f)
             gens = ideal.generators
-            certified = _misses_an_axis(gens, nvars)
+            certified = _misses_an_axis([g.terms for g in gens], nvars)
             assert certified == _vanishes_on_an_axis(gens, vars), f
             fired += certified
             start = max(g.total_degree() for g in gens) + 2
@@ -893,17 +895,19 @@ def test_cliff_germs_answer_with_fermat_weights(vars, text, mu):
     assert stabilized_oracle_dim(ideal)[0] == mu
 
 
-def test_milnor_number_of_the_115_germ():
+def test_milnor_number_of_the_115_germ(monkeypatch):
     # The oracle runs past 10 s on this mu, so it is not checked here.  115
     # is trusted because two independent bounds meet there: the colength of
     # the unit-weight kernel over F_p (p = 2^31 - 1), an upper bound for the
     # colength over Q, is 115; and the colength of J + (x^12, y^12, z^12,
     # w^12), a lower bound, is 114.  The oracle confirms tau = 92 (in about
-    # 2 s, so not here either).  milnor_number is quotient_dim of this basis.
+    # 2 s, so not here either).  milnor_number is quotient_dim of this basis,
+    # reached by the same engine, attempts and work.
     f = P(GERM_115)
     sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
     assert (quotient_dim(sb), sb.weights) == (115, (6, 5, 10, 6))
     assert attempts > 2  # the unit engine had its turns first
+    assert _germ_route(monkeypatch, f, False) == (115, _run_record(sb, attempts))
     assert tjurina_number(f) == 92
 
 
@@ -1042,3 +1046,155 @@ def test_local_work_limit_ends_a_standard_basis_that_would_not(monkeypatch):
     monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 1)
     with pytest.raises(LocalWorkLimitError):
         mora_normal_form({(2, 0, 0): 1, (0, 2, 0): 1}, [{(1, 0, 0): 1}, {(0, 1, 0): 1}])
+
+
+# ---------------------------------------------------------------- integer generators from the germ
+
+
+def _poly_generators(f, with_f):
+    """The Poly generators that tau (with f) and mu are the colengths of:
+    f and its nonzero partials."""
+    gens = ([f] if with_f else []) + [f.differentiate(v) for v in f.vars]
+    return [g for g in gens if not g.is_zero()]
+
+
+def _rational_germs():
+    """Seeded germs in x, y, z, w with rational coefficients: a pure power
+    of most variables and two or three mixed terms; some leave a variable
+    out of every term, some have a linear term."""
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        missing = rng.randrange(n) if rng.random() < 0.2 else None
+        terms = {}
+        for i in range(n):
+            if i != missing and rng.random() < 0.85:
+                terms[tuple(rng.randint(2, 5) if j == i else 0 for j in range(n))] = \
+                    rng.choice(RATIONALS)
+        for _ in range(rng.randint(2, 3)):
+            e = tuple(0 if j == missing else rng.randint(0, 2) for j in range(n))
+            if sum(e) >= 2:
+                terms[e] = rng.choice(RATIONALS)
+        if rng.random() < 0.15:
+            i = rng.randrange(n)
+            terms[tuple(int(j == i) for j in range(n))] = rng.choice(RATIONALS)
+        if terms:
+            yield Poly(XYZW[:n], terms)
+
+
+def test_germ_generators_are_the_primitive_poly_generators():
+    kinds = set()
+    for f in _rational_germs():
+        for with_f in (True, False):
+            gens = _germ_generators(f, with_f)
+            assert gens == [_primitive(g.terms) for g in _poly_generators(f, with_f)], f
+            assert all(type(c) is int for g in gens for c in g.values())
+        n = len(f.vars)
+        kinds.add("missing" if any(all(e[i] == 0 for e in f.terms) for i in range(n))
+                  else "linear" if any(sum(e) == 1 for e in f.terms) else "other")
+    assert kinds == {"missing", "linear", "other"}
+
+
+def _run_record(sb, attempts):
+    counts = (sb.normal_forms, sb.product_skips, sb.chain_skips, sb.left_at_corner)
+    return sb.weights, attempts, sb.work, counts
+
+
+def _germ_route(monkeypatch, f, with_f):
+    """(tau or mu, the run record of the answering engine or None): the
+    number through tjurina_number or milnor_number, with the engine run
+    recorded where it is made."""
+    import singkit.localring as localring
+    runs = []
+
+    def recording(ideal, engines):
+        sb, attempts = _germ_basis(ideal, engines)
+        runs.append(_run_record(sb, attempts))
+        return sb, attempts
+    with monkeypatch.context() as m:
+        m.setattr(localring, "_germ_basis", recording)
+        value = (tjurina_number if with_f else milnor_number)(f)
+    assert len(runs) <= 1
+    return value, (runs[0] if runs else None)
+
+
+def _poly_route(f, with_f):
+    """The same from the Poly generators, with the early answers checked
+    by brute force."""
+    gens = _poly_generators(f, with_f)
+    if any(g.constant_term() for g in gens):
+        return 0, None
+    if _vanishes_on_an_axis(gens, f.vars):
+        return INFINITE, None
+    sb, attempts = _germ_basis(LocalIdeal(f.vars, gens), _engines(f))
+    return quotient_dim(sb), _run_record(sb, attempts)
+
+
+# the germs of the README's table (mu of the 115-germ, which takes
+# seconds, is compared in its own test above)
+README_GERMS = [(vars, text, True) for vars, text, _ in CLIFF_GERMS] + [
+    (vars, text, False) for vars, text, _ in CLIFF_GERMS] + [
+    (XYZW, GERM_115, True),
+    (("x", "y", "z"), UNIT_ENGINE_GERM, True), (("x", "y", "z"), UNIT_ENGINE_GERM, False)]
+
+
+def test_tau_and_mu_take_the_poly_route_s_engine_attempts_and_work(monkeypatch):
+    answered = 0
+    for f in _rational_germs():
+        for with_f in (True, False):
+            got = _germ_route(monkeypatch, f, with_f)
+            assert got == _poly_route(f, with_f), (f, with_f)
+            answered += got[1] is not None
+    assert answered > 20
+    for vars, text, with_f in README_GERMS:
+        f = parse_polynomial(text, vars)
+        assert _germ_route(monkeypatch, f, with_f) == _poly_route(f, with_f), text
+
+
+@pytest.mark.parametrize("number,name", [(tjurina_number, "Tjurina number"),
+                                         (milnor_number, "Milnor number")])
+def test_edge_germs_keep_their_answers_and_messages(number, name):
+    with pytest.raises(ValueError, match=rf"^{name} of the zero polynomial is undefined$"):
+        number(Poly.zero(XYZW))
+    with pytest.raises(ValueError, match=r"^germ must vanish at the origin$"):
+        number(P("1/2 + x^2 + y^2"))
+    assert number(P("3/7*x + y^2")) == number(P("w^3 - 2*w")) == 0  # smooth
+    assert number(P("x^2 + y^2 + 1/2*z^2")) == INFINITE  # w is free
+    assert number(P("x^2*y^2 + z^2 + w^2")) == INFINITE
+
+
+def test_tau_and_mu_build_no_basis(monkeypatch):
+    # they read the colength only; the basis and its leads are built when
+    # read, and then equal those of the Poly route
+    import singkit.localring as localring
+    made = []
+
+    def recording(ideal, *, weights=None, work=None):
+        made.append(standard_basis(ideal, weights=weights, work=work))
+        return made[-1]
+    monkeypatch.setattr(localring, "standard_basis", recording)
+    for ambient, text, with_f in README_GERMS[:3] + README_GERMS[-2:] + [
+            (XYZW, PINNED_GERM, True), (XYZW, PINNED_GERM, False)]:
+        f = parse_polynomial(text, ambient)
+        made.clear()
+        (tjurina_number if with_f else milnor_number)(f)
+        sb, = made
+        assert not {"basis", "leading_exponents", "_minimal"} & set(vars(sb)), text
+        want = standard_basis(LocalIdeal(f.vars, _poly_generators(f, with_f)),
+                              weights=sb.weights)
+        assert _basis_record(sb) == _basis_record(want), text
+
+
+def test_ideal_built_from_integers_has_generators_and_a_repr():
+    xyz = ("x", "y", "z")
+    f = parse_polynomial("1/2*x^3 + 2/3*y^2 - z^2 + x*y*z", xyz)
+    ideal = LocalIdeal._of(xyz, _germ_generators(f, True))
+    assert repr(ideal) == ("LocalIdeal(('x', 'y', 'z'), [3*x^3 + 6*x*y*z + 4*y^2 - 6*z^2, "
+                           "3*x^2 + 2*y*z, 3*x*z + 4*y, x*y - 2*z])")
+    poly_ideal = LocalIdeal(xyz, _poly_generators(f, True))
+    assert [_primitive(g.terms) for g in ideal.generators] == \
+        [_primitive(g.terms) for g in poly_ideal.generators]
+    # the same kernel input, so the same basis; a Poly ideal converts its
+    # generators once
+    assert _basis_record(standard_basis(ideal)) == _basis_record(standard_basis(poly_ideal))
+    assert poly_ideal._primitives is poly_ideal._primitives
