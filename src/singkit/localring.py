@@ -214,7 +214,8 @@ def _tail_lead(terms, lead):
 
 def _primitive(terms):
     """The primitive integer polynomial that is a positive rational
-    multiple of `terms` (a nonempty dict with int or Fraction values)."""
+    multiple of `terms` (a nonempty dict with int or Fraction values): the
+    only one, so the same for every such multiple."""
     den = math.lcm(*(c.denominator for c in terms.values()))
     num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     k = math.gcd(*num.values())
@@ -703,8 +704,7 @@ def _germ_generators(f: Poly, with_f):
     for i in range(len(f.vars)):
         d = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
         if d:
-            k = math.gcd(*d.values())
-            gens.append({e: c // k for e, c in d.items()} if k != 1 else d)
+            gens.append(_primitive(d))
     return gens
 
 

@@ -133,9 +133,9 @@ def test_rational_root_search_is_bounded():
     # tested with integer Horner: w^3 + 963761198400 has no rational root
     fib = fiber_count(m, [0, 963_761_198_400])
     assert fib.count == 3 and fib.points == ()
-    # 576 divisors of the numerator times 128 of the denominator give too
+    # 576 divisors of the numerator times 256 of the denominator give too
     # many candidates, though trial division alone is well inside the limit
-    num, den = 2**5 * 3**3 * 5**2 * 7 * 11 * 13, 17 * 19 * 23 * 29 * 31 * 37 * 41
+    num, den = 2**5 * 3**3 * 5**2 * 7 * 11 * 13, 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
     with pytest.raises(ConfigError, match=rf"^coefficient {den} of w\^3 too large"):
         fiber_count(m, [0, Fraction(num, den)])
     # denominators are cleared first, so the leading coefficient can be the large one
