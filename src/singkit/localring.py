@@ -704,7 +704,8 @@ def _germ_generators(f: Poly, with_f):
     for i in range(len(f.vars)):
         d = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
         if d:
-            gens.append(_primitive(d))
+            k = math.gcd(*d.values())
+            gens.append({e: c // k for e, c in d.items()} if k != 1 else d)
     return gens
 
 
