@@ -428,7 +428,7 @@ class LocalIdeal:
     def _of(cls, vars: tuple, primitives: list) -> "LocalIdeal":
         """The ideal of nonzero primitive integer polynomials keyed by
         exponent tuples, none with a constant term, unchecked: only for
-        generators that `_germ_colength` built.  Its Poly `generators`
+        generators that `_germ_generators` built.  Its Poly `generators`
         are made on first read."""
         ideal = cls.__new__(cls)
         ideal.vars = vars

@@ -1138,7 +1138,7 @@ README_GERMS = [(vars, text, True) for vars, text, _ in CLIFF_GERMS] + [
     (("x", "y", "z"), UNIT_ENGINE_GERM, True), (("x", "y", "z"), UNIT_ENGINE_GERM, False)]
 
 
-def test_tau_and_mu_take_the_poly_route_s_engine_attempts_and_work(monkeypatch):
+def test_tau_and_mu_match_the_poly_route_in_engine_attempts_and_work(monkeypatch):
     answered = 0
     for f in _rational_germs():
         for with_f in (True, False):
@@ -1146,8 +1146,8 @@ def test_tau_and_mu_take_the_poly_route_s_engine_attempts_and_work(monkeypatch):
             assert got == _poly_route(f, with_f), (f, with_f)
             answered += got[1] is not None
     assert answered > 20
-    for vars, text, with_f in README_GERMS:
-        f = parse_polynomial(text, vars)
+    for ambient, text, with_f in README_GERMS:
+        f = parse_polynomial(text, ambient)
         assert _germ_route(monkeypatch, f, with_f) == _poly_route(f, with_f), text
 
 
