@@ -362,8 +362,8 @@ _DEFSPACE_CHECKS = (
 
 def defspace(inputs, seed=0):
     m = ds.build(inputs["n"])
-    jac = ds.jacobian_identity(m)
     ram = ds.ramification_check(m, samples=inputs.get("samples", 24), seed=seed)
+    jac = ds.jacobian_identity(m)
     outcomes = (ds.verify_factor_identity(m), jac.matches,
                 ds.inverse_composition_reduces(m), ram.ok)
     checks = [{"name": name, "expected": True, "actual": ok, "pass": ok}

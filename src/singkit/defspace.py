@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .poly import Poly, discriminant, PolyMatrix, univariate_gcd
+from .poly import Poly, PolyMatrix, _uni_rem, discriminant, univariate_gcd
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
 # and testing a candidate root with integer Horner is 2 steps per
@@ -34,6 +34,13 @@ from .poly import Poly, discriminant, PolyMatrix, univariate_gcd
 # gcd that skips a/b not in lowest terms, ran at 0.06-0.09 us per charged
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
+# Largest degree n that `build` accepts and most samples that
+# `ramification_check` takes, chosen by measurement (Python 3.11.7, 2-core
+# VM): defspace-verify's identities took 0.09 s at n = 14, 0.84 s at
+# n = 24 and 1.7-2.2 s at n = 28, and a sample 0.04 ms at n = 3 and
+# 0.5 ms at n = 24, so n = 24 with 1000 samples takes about 1.1 s.
+DEGREE_LIMIT = 24
+SAMPLE_LIMIT = 1000
 
 
 def _b_names(n):
@@ -66,6 +73,8 @@ class RootFactorMap:
 def build(n: int) -> RootFactorMap:
     if not isinstance(n, int) or n < 2:
         raise ValueError("degree n must be an integer >= 2")
+    if n > DEGREE_LIMIT:
+        raise ConfigError(f"degree n = {n} too large (over {DEGREE_LIMIT})")
     bs = _b_names(n)
     ts = _t_names(n)
 
@@ -140,13 +149,7 @@ def reduce_mod_monic(p: Poly, modulus: Poly, name: str) -> Poly:
     lead = modulus.coefficient_in(name, d)
     if not lead == Poly.const(modulus.vars, 1):
         raise ValueError("modulus must be monic")
-    x = Poly.var(p.vars, name)
-    r = p
-    while not r.is_zero() and r.degree_in(name) >= d:
-        k = r.degree_in(name)
-        c = r.coefficient_in(name, k)
-        r = r - c * x ** (k - d) * modulus.in_ambient(p.vars)
-    return r
+    return _uni_rem(p, modulus.in_ambient(p.vars), name)
 
 
 def target_at_root(m: RootFactorMap) -> Poly:
@@ -228,7 +231,7 @@ def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
 
     inv = inverse_t(m)
     points = []
-    for root in _rational_roots(pb, "w", assign):
+    for root in _rational_roots(pb, "w"):
         point = {"lam": root, **assign}
         ts = tuple(p.evaluate(point) for p in inv)
         points.append(FiberPoint(lam=root, t=ts))
@@ -259,7 +262,7 @@ def _divisors(n):
     return sorted(out)
 
 
-def _rational_roots(p: Poly, name: str, assign) -> list:
+def _rational_roots(p: Poly, name: str) -> list:
     """Distinct rational roots of a univariate-in-`name` polynomial with
     rational coefficients (other ambient variables already numeric).
 
@@ -314,7 +317,9 @@ class RamificationResult:
 def ramification_check(m: RootFactorMap, samples: int = 24, seed: int = 0) -> RamificationResult:
     """P'(lam)|_{b -> map} == Q(lam; lam, t): the map is ramified exactly
     where the split root collides with a root of the cofactor.  Checked
-    symbolically and on seeded rational samples."""
+    symbolically and on seeded rational samples, at most SAMPLE_LIMIT."""
+    if samples > SAMPLE_LIMIT:
+        raise ConfigError(f"{samples} samples too many (over {SAMPLE_LIMIT})")
     mv = ("lam",) + m.t_names
     lam_poly = Poly.var(mv, "lam")
     mapping = {"w": lam_poly}

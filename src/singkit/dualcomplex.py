@@ -34,6 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConfigError
+from .poly import _reduce_into
 
 
 class Kind(str, Enum):
@@ -305,35 +306,15 @@ def restriction_rank_b2(config: DivisorConfiguration, seed: int = 0) -> int:
     for c in config.components:
         offset[c.id] = total
         total += c.b2
-    rows = []
+    pivots = {}
     for d in config.double_curves:
         row = {}
         for end in d.between:
             c = config.by_id[end]
             for j in range(c.b2):
                 row[offset[end] + j] = Fraction(rng.randint(1, 997))
-        rows.append(row)
-    rank = 0
-    pivots = {}
-    for row in rows:
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = 1 / row[col]
-                pivots[col] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-            c = row[col]
-            row = {
-                k: v
-                for k, v in (
-                    (k, row.get(k, Fraction(0)) - c * piv.get(k, Fraction(0)))
-                    for k in set(row) | set(piv)
-                )
-                if v
-            }
-    return total - rank
+        _reduce_into(pivots, row)
+    return total - len(pivots)
 
 
 def deformation_dims(config: DivisorConfiguration, ambient_dim: int = 3) -> InvariantReport:
@@ -785,6 +766,13 @@ def _uint(v, what):
     return v
 
 
+def _h0q_key(k):
+    try:
+        return int(k)
+    except (TypeError, ValueError):
+        raise ConfigError(f"h0q keys must be integers q, got {k!r}") from None
+
+
 def _objects(d, key, what):
     """d[key] (empty when absent), checked to be a list of JSON objects."""
     items = d.get(key, ())
@@ -819,8 +807,11 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
             if not isinstance(c["h0q"], dict):
                 raise ConfigError("h0q must be an object mapping q to a dimension")
             h0q = tuple(
-                sorted((int(k), _uint(v, "h0q value")) for k, v in c["h0q"].items())
+                sorted((_h0q_key(k), _uint(v, "h0q value")) for k, v in c["h0q"].items())
             )
+        anti = c.get("anticanonical_boundary", ())
+        if not isinstance(anti, (list, tuple)):
+            raise ConfigError(f"anticanonical_boundary must be a list of curve ids, got {anti!r}")
         comps.append(
             SurfaceComponent(
                 id=_ident(c.get("id"), "component"),
@@ -828,10 +819,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
                 b2=_uint(c["b2"], "b2") if "b2" in c else None,
                 h01=_uint(c["h01"], "h01") if "h01" in c else None,
                 h0q=h0q,
-                anticanonical=frozenset(
-                    _ident(x, "anticanonical curve")
-                    for x in c.get("anticanonical_boundary", ())
-                ),
+                anticanonical=frozenset(_ident(x, "anticanonical curve") for x in anti),
             )
         )
 

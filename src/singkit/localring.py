@@ -127,7 +127,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import LocalWorkLimitError
-from .poly import Poly
+from .poly import Poly, _reduce_into
 
 INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
 
@@ -743,20 +743,12 @@ def tjurina_number(f: Poly):
 
 def _monomials_below(nvars, cutoff):
     """All exponent tuples of total degree < cutoff, graded order."""
-    out = []
+    def of_degree(n, d):  # exponent tuples of length n and degree d, lex order
+        if n == 0:
+            return [()] if d == 0 else []
+        return [(k,) + rest for k in range(d + 1) for rest in of_degree(n - 1, d - k)]
 
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], remaining - 1, budget - k)
-
-    for d in range(cutoff):
-        start = len(out)
-        rec([], nvars, d)
-        out[start:] = [e for e in out[start:] if sum(e) == d]
-    return out
+    return [e for d in range(cutoff) for e in of_degree(nvars, d)]
 
 
 def _oracle_gaps(ideal: LocalIdeal, cutoff: int):
@@ -782,22 +774,7 @@ def _oracle_gaps(ideal: LocalIdeal, cutoff: int):
                 t = tuple(a + b for a, b in zip(e, shift))
                 if sum(t) < cutoff:
                     row[index[t]] = row.get(index[t], 0) + c
-            row = {k: v for k, v in row.items() if v}
-            # sparse exact elimination
-            while row:
-                col = min(row)
-                piv = pivots.get(col)
-                if piv is None:
-                    inv = Fraction(1) / row[col]
-                    pivots[col] = {k: v * inv for k, v in row.items()}
-                    break
-                c = row[col]
-                for k, v in piv.items():
-                    s = row.get(k, 0) - c * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+            _reduce_into(pivots, {k: v for k, v in row.items() if v})
     gaps = [math.comb(d + nvars - 1, nvars - 1) for d in range(cutoff)]
     for col in pivots:
         gaps[sum(mons[col])] -= 1
@@ -845,7 +822,7 @@ def stabilized_oracle_dim(ideal: LocalIdeal, start: int | None = None, limit: in
 def quasi_homogeneous_weights(f: Poly):
     """Positive weights making every term of f the same weighted degree.
 
-    Solves <w, exponent> = 1 over the exponent vectors exactly (Gaussian
+    Solves <w, exponent> = 1 over the exponent vectors exactly (sparse
     elimination, then Fourier-Motzkin for strict positivity), and scales
     the solution to the smallest integer weight vector.  Returns
     (weights, degree) or None.  The test is syntactic: it sees the given
@@ -857,40 +834,30 @@ def quasi_homogeneous_weights(f: Poly):
     exps = sorted(set(f.terms))
     n = len(f.vars)
 
-    # Gaussian elimination on [E | 1]
-    rows = [[Fraction(x) for x in e] + [Fraction(1)] for e in exps]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f_ = rows[i][c]
-                rows[i] = [a - f_ * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n]:
-            return None  # inconsistent
-
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    # echelon form of [E | 1]; a pivot in column n means 0 = 1
+    pivots = {}
+    for e in exps:
+        row = {c: x for c, x in enumerate(e) if x}
+        row[n] = 1
+        _reduce_into(pivots, row)
+    if n in pivots:
+        return None  # inconsistent
+    free_cols = [c for c in range(n) if c not in pivots]
     k = len(free_cols)
 
-    # w_c = base[c] + sum_j coeff[c][j] * u_j
+    # w_c = base[c] + sum_j coeff[c][j] * u_j, the pivot columns by
+    # back-substitution, last first
     base = [Fraction(0)] * n
     coeff = [[Fraction(0)] * k for _ in range(n)]
     for j, c in enumerate(free_cols):
         coeff[c][j] = Fraction(1)
-    for (ri, c) in pivots:
-        base[c] = rows[ri][n]
-        for j, fc in enumerate(free_cols):
-            coeff[c][j] = -rows[ri][fc]
+    for c in sorted(pivots, reverse=True):
+        for col, v in pivots[c].items():
+            if col == n:
+                base[c] += v
+            elif col != c:
+                base[c] -= v * base[col]
+                coeff[c] = [a - v * b for a, b in zip(coeff[c], coeff[col])]
 
     # strict inequalities sum coeff*u + base > 0, Fourier-Motzkin
     ineqs = [(tuple(coeff[c]), base[c]) for c in range(n)]
@@ -910,9 +877,6 @@ def quasi_homogeneous_weights(f: Poly):
                 new.append((a, b))
         ineqs = new
     if any(b <= 0 for coefs, b in ineqs if not any(coefs)):
-        return None
-    # also fail rows with all-zero coefficients encountered before elimination
-    if k == 0 and any(b <= 0 for _, b in ineqs):
         return None
 
     u = [Fraction(0)] * k

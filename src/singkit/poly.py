@@ -261,8 +261,11 @@ class Poly:
         return out
 
     def in_ambient(self, vars) -> "Poly":
-        """Re-express in a different ambient, matching variables by name."""
+        """Re-express in a different ambient, matching variables by name;
+        self when the ambient is unchanged."""
         vs = tuple(vars)
+        if vs == self.vars:
+            return self
         pos = {}
         for i, v in enumerate(self.vars):
             if v in vs:
@@ -596,6 +599,31 @@ def _det_bareiss(rows) -> Poly:
     return det if sign == 1 else -det
 
 
+# -- sparse elimination over Q -------------------------------------------------
+
+def _reduce_into(pivots: dict, row: dict) -> None:
+    """One step of sparse exact elimination over Q: reduce `row`
+    ({column: Fraction}, consumed) against `pivots`, lowest column first,
+    and store what is left, scaled to 1 at its lowest column, as the pivot
+    of that column.  `pivots` maps each pivot column to its row, which has
+    no column below it, so once every row of a matrix went in, the pivots
+    are an echelon form of it and len(pivots) is its rank."""
+    while row:
+        col = min(row)
+        piv = pivots.get(col)
+        if piv is None:
+            inv = Fraction(1) / row[col]
+            pivots[col] = {k: v * inv for k, v in row.items()}
+            return
+        c = row[col]
+        for k, v in piv.items():
+            s = row.get(k, 0) - c * v
+            if s:
+                row[k] = s
+            else:
+                row.pop(k, None)
+
+
 # -- univariate tools ---------------------------------------------------------
 
 def univariate_gcd(p: Poly, q: Poly, name: str) -> Poly:
@@ -617,14 +645,16 @@ def univariate_gcd(p: Poly, q: Poly, name: str) -> Poly:
 
 
 def _uni_rem(a: Poly, b: Poly, name: str) -> Poly:
+    """Remainder of a on division by b as polynomials in `name`.  The
+    leading coefficient of b in `name` must be a nonzero constant; the
+    other coefficients of a and b may involve the other variables."""
     db = b.degree_in(name)
-    lb = b.coefficient_in(name, db).constant_term()
+    inv = 1 / b.coefficient_in(name, db).constant_term()
     x = Poly.var(a.vars, name)
     r = a
-    while not r.is_zero() and r.degree_in(name) >= db:
-        dr = r.degree_in(name)
-        lr = r.coefficient_in(name, dr).constant_term()
-        r = r - b * x ** (dr - db) * (lr / lb)
+    while not r.is_zero() and (dr := r.degree_in(name)) >= db:
+        # the quotient term is small, so scale it before multiplying by b
+        r = r - r.coefficient_in(name, dr) * x ** (dr - db) * inv * b
     return r
 
 

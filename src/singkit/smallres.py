@@ -276,6 +276,8 @@ def germ_from_dict(d: dict, vars=("z", "w")) -> SuspendedCurveGerm:
         fam = Family(d["family"])
     except ValueError:
         raise ConfigError(f"unknown family {d['family']!r}") from None
+    if not isinstance(d["g"], str):
+        raise ConfigError(f"g must be a polynomial string, got {d['g']!r}")
     g = parse_polynomial(d["g"], vars)
 
     def uint(key):

@@ -1,13 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
-from singkit import cli, defspace
+from singkit import cli, corpus, defspace
 from singkit.cli import main
 from singkit.corpus import CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III2_DISK
 
@@ -167,6 +172,22 @@ def test_defspace_verify_negative_samples_exits_2(capsys):
     assert code == 0 and report["results"]["ramification_samples"] == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["defspace-verify", "--n", "60"], f"degree n = 60 too large (over {defspace.DEGREE_LIMIT})"),
+    (["defspace-fiber", "--n", "60", "--b", "0"],
+     f"degree n = 60 too large (over {defspace.DEGREE_LIMIT})"),
+    (["defspace-verify", "--n", "3", "--samples", "1000000"],
+     f"1000000 samples too many (over {defspace.SAMPLE_LIMIT})"),
+])
+def test_defspace_past_its_limits_exits_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 0.1
+    assert captured.err == f"error: {message}\n"
+
+
 def test_defspace_fiber(capsys):
     code, report = run(capsys, "defspace-fiber", "--n", "3", "--b=-1,0")
     assert code == 0
@@ -293,6 +314,14 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
      "corpus entry 'd': samples must be a nonnegative integer, got -4"),
     ([{"id": "d", "kind": "defspace", "n": 3, "samples": False}],
      "corpus entry 'd': samples must be a nonnegative integer, got False"),
+    ([{"id": "s", "kind": "smallres", "germ": {"g": 2, "family": "a1_times", "n": 1}}],
+     "g must be a polynomial string, got 2"),
+    ([{"id": "c", "kind": "classify", "config": {
+        "components": [{"id": "E1", "b2": 7, "anticanonical_boundary": "D0"}],
+        "marked": {"d0_curve": "D0"}}}],
+     "anticanonical_boundary must be a list of curve ids, got 'D0'"),
+    ([{"id": "l", "kind": "link", "config": {"components": [{"id": "E", "b2": 7, "h0q": {"x": 1}}]}}],
+     "h0q keys must be integers q, got 'x'"),
 ])
 def test_corpus_malformed_entry_exits_2(tmp_path, capsys, entries, message):
     path = tmp_path / "bad.json"
@@ -434,3 +463,91 @@ def test_local_work_limit_exits_2(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: local standard basis too costly "
                             "(over 20000 units of Mora reduction work)\n")
+
+
+# ---------------------------------------------------------------- fuzzed inputs
+#
+# Valid germ files, configurations and corpus files with one value replaced
+# by a random JSON value (or one key dropped), and random polynomial and
+# argument text: every call ends in exit 0, 1 or 2, never in a traceback.
+# The numbers stay small, so each call takes milliseconds.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(-2, 8)
+    | st.sampled_from(["", "x", "0", "-1", "D0", "E1", "z^2 + w^2", "rational", "a1_times"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "g", "b2", "1", "x", "kind"]), inner, max_size=3),
+    max_leaves=6,
+)
+_GERMS = [e["germ"] for e in corpus.ENTRIES if e["kind"] == "smallres"]
+_CONFIGS = [corpus.CUBIC_CONE_LINK, corpus.TYPE_II_POINT, corpus.TYPE_II_CHAIN,
+            corpus.TYPE_III1_SEGMENT, corpus.TYPE_III2_DISK, corpus.UNCLASSIFIED_PAIR]
+_ENTRIES = [e for e in corpus.ENTRIES if e["kind"] != "defspace" or e["n"] <= 3]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside doc, as tuples of keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def _mistyped(draw, docs):
+    """One of docs with the value at one path replaced or its key dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return doc
+
+
+_TEXT = st.text(st.sampled_from("xyzw0123456789+-*^()/, ."), max_size=10)
+
+
+@st.composite
+def _argv(draw, path):
+    """A subcommand and its arguments; file arguments name `path`, which
+    the test fills with the drawn document."""
+    kind = draw(st.sampled_from(["poly", "smallres", "config", "corpus", "defspace"]))
+    if kind == "poly":
+        return None, [draw(st.sampled_from(["tjurina", "milnor"])), draw(_TEXT),
+                      "--vars", draw(st.sampled_from(["x,y,z,w", "x,y", "x", ",", "x,x"]))]
+    if kind == "smallres":
+        return draw(_mistyped(_GERMS)), ["smallres", path]
+    if kind == "config":
+        command = draw(st.sampled_from(["dualcomplex-invariants", "dualcomplex-classify"]))
+        return draw(_mistyped(_CONFIGS)), [command, path]
+    if kind == "corpus":
+        return [draw(_mistyped(_ENTRIES))], ["corpus", path]
+    n = str(draw(st.integers(-2, 6)))
+    if draw(st.booleans()):
+        return None, ["defspace-verify", "--n", n, "--samples", str(draw(st.integers(-2, 30)))]
+    return None, ["defspace-fiber", "--n", n, f"--b={draw(_TEXT)}"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_inputs_exit_0_1_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "input.json")
+        doc, argv = data.draw(_argv(path))
+        if doc is not None:
+            Path(path).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments, with its usage
+                assert exc.code == 2, argv
+                return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, doc)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from singkit.defspace import (
+    DEGREE_LIMIT,
+    SAMPLE_LIMIT,
     apply_map,
     build,
     fiber_count,
@@ -38,6 +40,16 @@ def test_build_small_cases():
 def test_build_rejects_degree_below_two():
     with pytest.raises(ValueError):
         build(1)
+
+
+def test_degree_and_samples_are_bounded():
+    assert build(DEGREE_LIMIT).n == DEGREE_LIMIT
+    with pytest.raises(ConfigError, match=f"degree n = 60 too large \\(over {DEGREE_LIMIT}\\)"):
+        build(60)
+    m = build(3)
+    assert ramification_check(m, samples=SAMPLE_LIMIT).ok
+    with pytest.raises(ConfigError, match=f"1000000 samples too many \\(over {SAMPLE_LIMIT}\\)"):
+        ramification_check(m, samples=1_000_000)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -373,6 +373,21 @@ def test_rejects_double_curve_that_is_not_an_object():
                           "double_curves": ["D12"]})
 
 
+@pytest.mark.parametrize("anti", [0, None, "D0", {"D0": 1}])
+def test_rejects_anticanonical_boundary_that_is_not_a_list(anti):
+    # a string would otherwise be read as the curves named by its letters
+    bad = copy.deepcopy(TYPE_II_POINT)
+    bad["components"][0]["anticanonical_boundary"] = anti
+    with pytest.raises(ConfigError, match="anticanonical_boundary must be a list of curve ids"):
+        config_from_dict(bad)
+
+
+@pytest.mark.parametrize("key", ["x", "1.5", ""])
+def test_rejects_h0q_key_that_is_not_an_integer(key):
+    with pytest.raises(ConfigError, match=f"h0q keys must be integers q, got {key!r}"):
+        config_from_dict({"components": [{"id": "E", "kind": "rational", "h0q": {key: 1}}]})
+
+
 def test_rejects_duplicate_ids():
     with pytest.raises(ConfigError):
         config_from_dict({"components": [

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,12 @@ def test_germ_from_dict_rejects_unknown_keys():
 def test_germ_from_dict_rejects_bad_family():
     with pytest.raises(ConfigError):
         germ_from_dict({"g": "z^2 + w^2", "family": "nope"})
+
+
+@pytest.mark.parametrize("g", [2, None, True, ["z^2"], {"z": 2}])
+def test_germ_from_dict_rejects_g_that_is_not_text(g):
+    with pytest.raises(ConfigError, match=re.escape(f"g must be a polynomial string, got {g!r}")):
+        germ_from_dict({"g": g, "family": "a1_times", "n": 1})
 
 
 def test_named_families_reject_overrides():
