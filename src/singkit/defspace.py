@@ -317,7 +317,10 @@ class RamificationResult:
 def ramification_check(m: RootFactorMap, samples: int = 24, seed: int = 0) -> RamificationResult:
     """P'(lam)|_{b -> map} == Q(lam; lam, t): the map is ramified exactly
     where the split root collides with a root of the cofactor.  Checked
-    symbolically and on seeded rational samples, at most SAMPLE_LIMIT."""
+    symbolically and on seeded rational samples, from 0 to SAMPLE_LIMIT of
+    them."""
+    if samples < 0:
+        raise ConfigError(f"samples must be nonnegative, got {samples}")
     if samples > SAMPLE_LIMIT:
         raise ConfigError(f"{samples} samples too many (over {SAMPLE_LIMIT})")
     mv = ("lam",) + m.t_names

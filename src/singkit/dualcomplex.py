@@ -36,6 +36,17 @@ from itertools import combinations
 from .errors import ConfigError
 from .poly import _reduce_into
 
+# Work bound of `restriction_rank_b2`'s exact elimination, charged before
+# it runs as rows * rows * (longest row): a row reduces against at most
+# one pivot per earlier row, each about a row long.  Chosen by measurement
+# (Python 3.11.7, 2-core VM): at 50 000 units, one double curve between
+# components of b2 25 000 took 0.28 s, 60 curves from a hub of b2 11 to
+# 30 components 0.23 s and 15 parallel curves between components of b2
+# 100 0.18 s; 200 such curves (8 * 10^6 units) took 62 s.  Chains are
+# charged more than they cost (36 components of b2 20: 7 ms), but every
+# bundled configuration is charged at most 576 units.
+RANK_WORK_LIMIT = 50_000
+
 
 class Kind(str, Enum):
     RATIONAL = "rational"
@@ -296,10 +307,18 @@ def link_invariant(config: DivisorConfiguration) -> InvariantReport:
 def restriction_rank_b2(config: DivisorConfiguration, seed: int = 0) -> int:
     """Independent recomputation of b2(E) as sum b2(E_i) minus the exact
     rank of a random-integer restriction matrix with one row per double
-    curve, supported on the two incident components' b2 blocks."""
+    curve, supported on the two incident components' b2 blocks.  The
+    elimination is charged against RANK_WORK_LIMIT before it runs; past
+    it, ConfigError."""
     missing = [c.id for c in config.components if c.b2 is None]
     if missing:
         raise ConfigError(f"components missing b2: {missing}")
+    rows = len(config.double_curves)
+    longest = max((sum(config.by_id[end].b2 for end in d.between)
+                   for d in config.double_curves), default=0)
+    if rows * rows * longest > RANK_WORK_LIMIT:
+        raise ConfigError(f"b2 rank cross-check too costly: {rows}^2 double curves x "
+                          f"{longest}-entry rows (over {RANK_WORK_LIMIT} units)")
     rng = random.Random(seed)
     offset = {}
     total = 0
@@ -768,9 +787,12 @@ def _uint(v, what):
 
 def _h0q_key(k):
     try:
-        return int(k)
+        q = int(k)
     except (TypeError, ValueError):
         raise ConfigError(f"h0q keys must be integers q, got {k!r}") from None
+    if q < 0:
+        raise ConfigError(f"h0q key {k!r} is negative")
+    return q
 
 
 def _objects(d, key, what):
@@ -806,9 +828,13 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
         if "h0q" in c:
             if not isinstance(c["h0q"], dict):
                 raise ConfigError("h0q must be an object mapping q to a dimension")
-            h0q = tuple(
-                sorted((_h0q_key(k), _uint(v, "h0q value")) for k, v in c["h0q"].items())
-            )
+            table = {}
+            for k, v in c["h0q"].items():
+                q = _h0q_key(k)
+                if q in table:
+                    raise ConfigError(f"h0q key {k!r} repeats q = {q}")
+                table[q] = _uint(v, "h0q value")
+            h0q = tuple(sorted(table.items()))
         anti = c.get("anticanonical_boundary", ())
         if not isinstance(anti, (list, tuple)):
             raise ConfigError(f"anticanonical_boundary must be a list of curve ids, got {anti!r}")

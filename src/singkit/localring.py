@@ -51,7 +51,7 @@ the first engine to finish gives the answer.  Work is counted in Mora
 reduction steps, each weighted by its size (see LOCAL_WORK_LIMIT), never
 in seconds, so the engine that answers does not depend on the host.
 `LOCAL_WORK_LIMIT` caps the work of all attempts of one number, and of
-one `standard_basis` or `mora_normal_form` call.
+one `standard_basis` call.
 
 Most S-pairs reduce to zero, and two criteria skip them unreduced
 (Buchberger; Gebauer-Moeller 1988; Greuel-Pfister 1.7 and 2.5).  The
@@ -131,10 +131,10 @@ from .poly import Poly, _reduce_into
 
 INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
 
-# Work that one tau or mu (all engine attempts together), one
-# standard_basis call or one mora_normal_form call may spend; past it,
-# LocalWorkLimitError.  A Mora reduction step on a remainder of t terms
-# costs t * (1 + b_h // 64) * (1 + b_a // 64), for b_h the bits of the
+# Work that one tau or mu (all engine attempts together) or one
+# standard_basis call may spend; past it, LocalWorkLimitError.  A Mora
+# reduction step on a remainder of t terms costs
+# t * (1 + b_h // 64) * (1 + b_a // 64), for b_h the bits of the
 # remainder's lead coefficient and b_a those of the multiplier that scales
 # the remainder: about the word operations of that scaling.  Bare step
 # counts do not track time, because coefficients grow as a run goes on.
@@ -186,11 +186,6 @@ def _exponent(key):
     return key[:0:-1]
 
 
-def _plain(terms):
-    """Terms keyed by exponent tuples again."""
-    return {_exponent(k): c for k, c in terms.items()}
-
-
 def _entry(terms):
     """(lead, ecart, terms): what Mora's division reads of a reducer; the
     ecart is the top degree minus the lead's degree."""
@@ -240,76 +235,41 @@ def _sub_shifted(h, c, g, shift, bound=None):
             del h[t]
 
 
-class _OutOfWork(Exception):
-    """An engine attempt spent the work it was given (see `_Work`)."""
-
-
 class _Work:
     """Work a computation may still spend, shared by all normal forms of
-    one standard basis.  Past it, `exhausted` gives the exception to
-    raise: LocalWorkLimitError when this is all that is left of
-    LOCAL_WORK_LIMIT (`final`), else _OutOfWork, which ends one engine
-    attempt."""
+    one standard basis; a step that takes it below 0 raises `exhausted`."""
 
-    __slots__ = ("left", "final")
+    __slots__ = ("left",)
 
-    def __init__(self, n, final=True):
+    def __init__(self, n):
         self.left = n
-        self.final = final
 
     def exhausted(self):
-        if self.final:
-            return LocalWorkLimitError(
-                f"local standard basis too costly (over {LOCAL_WORK_LIMIT} units of "
-                "Mora reduction work)")
-        return _OutOfWork()
+        return LocalWorkLimitError(
+            f"local standard basis too costly (over {LOCAL_WORK_LIMIT} units of "
+            "Mora reduction work)")
 
 
-def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
+def mora_normal_form(f, reducers, bound, work):
     """Weak normal form of f against the reducers, up to a unit.
 
-    f and each reducer are raw dicts keyed by exponent tuples, with int
-    or Fraction coefficients.  The result is a primitive integer
-    polynomial keyed the same way: a rational multiple of the weak normal
-    form over Q, with the same terms.  `weights` picks the local order
-    (default: unit weights, see the module docstring).  Inside
-    `standard_basis`, `weights` is the `_Keys` of its order: then f and
-    the result are keyed by monomial keys, and the reducers are the
-    (lead, ecart, terms) entries of primitive integer polynomials that it
-    keeps.
+    f is an integer polynomial keyed by the monomial keys of the order
+    (`_Keys`), and the reducers are the (lead, ecart, terms) entries
+    (`_entry`) of primitive integer polynomials keyed the same way; the
+    keys' tuple order is the order, so nothing else is needed of it.  The
+    result is a primitive integer polynomial keyed the same way: a
+    rational multiple of the weak normal form over Q, with the same terms.
 
     `bound` is a degree N of the order with F_N inside the ideal that the
-    reducers generate (see `standard_basis`).  With it, terms of degree
-    >= N are dropped from f and after every reduction step, and f reduces
-    to {} as soon as its leading term has degree >= N: every term left
-    then lies in F_N.  Without it, when the reducers' leads hold a pure
-    power of every variable, N is one more than the largest degree
-    outside their leads: the argument of the module docstring holds for
-    any finite set of elements of the ideal whose leads leave finitely
-    many monomials outside.
+    reducers generate, or None (see `standard_basis`).  With it, terms of
+    degree >= N are dropped from f and after every reduction step, and f
+    reduces to {} as soon as its leading term has degree >= N: every term
+    left then lies in F_N.
 
     Every reduction step spends its cost (see LOCAL_WORK_LIMIT) from
-    `work` (a `_Work`, shared with the caller); without it, the call may
-    spend LOCAL_WORK_LIMIT and raises LocalWorkLimitError past it.
+    `work` (a `_Work`, shared with the caller).
     """
-    if not f:
-        return {}
-    if work is None:
-        work = _Work(LOCAL_WORK_LIMIT)
-    if isinstance(weights, _Keys):
-        keys, pool, plain = weights, list(reducers), False
-    else:
-        n = len(next(iter(f)))
-        keys = _Keys((1,) * n if weights is None else tuple(weights))
-        f = keys.keyed(f)
-        pool = [_entry(keys.keyed(_primitive(g))) for g in reducers]
-        plain = True
-        if bound is None and pool:
-            leads = [_exponent(entry[0]) for entry in pool]
-            powers = {next(i for i, a in enumerate(e) if a)
-                      for e in leads if sum(map(bool, e)) == 1}
-            if len(powers) == n:
-                bound = _staircase(leads, n, keys.weights)[1] + 1
+    pool = list(reducers)
     h = f if bound is None else _truncate(f, bound)
     if h:
         h = _primitive(h)
@@ -348,7 +308,7 @@ def mora_normal_form(f, reducers, bound=None, *, weights=None, work=None):
         if k != 1:
             for e in h:
                 h[e] //= k
-    return _plain(h) if plain else h
+    return h
 
 
 def _spoly(f, lf, g, lg, lcm):
@@ -542,8 +502,8 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
     staircase that sets the corner also gives the colength, recorded as
     `colength`.
 
-    The normal forms spend `work` (a `_Work`); without it, the call may
-    spend LOCAL_WORK_LIMIT and raises LocalWorkLimitError past it.
+    The normal forms spend `work` (a `_Work`; without it, LOCAL_WORK_LIMIT)
+    and raise LocalWorkLimitError once it is spent.
     """
     n = len(ideal.vars)
     weights = (1,) * n if weights is None else tuple(weights)
@@ -609,8 +569,7 @@ def standard_basis(ideal: LocalIdeal, *, weights=None, work=None) -> StandardBas
             chain_skips += 1
             continue
         normal_forms += 1
-        h = mora_normal_form(_spoly(G[i][2], leads[i], G[j][2], leads[j], lcm), G, corner,
-                             weights=keys, work=work)
+        h = mora_normal_form(_spoly(G[i][2], leads[i], G[j][2], leads[j], lcm), G, corner, work)
         if h:
             add(h)
             for k in range(len(G) - 1):
@@ -686,8 +645,10 @@ def _germ_basis(ideal: LocalIdeal, engines):
             n = min(given, left)
             attempts += 1
             try:
-                return standard_basis(ideal, weights=weights, work=_Work(n, n == left)), attempts
-            except _OutOfWork:
+                return standard_basis(ideal, weights=weights, work=_Work(n)), attempts
+            except LocalWorkLimitError:
+                if n == left:
+                    raise
                 left -= n
         given *= 2
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
-from singkit import cli, corpus, defspace
+from singkit import cli, corpus, defspace, dualcomplex
 from singkit.cli import main
 from singkit.corpus import CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III2_DISK
 
@@ -186,6 +186,27 @@ def test_defspace_past_its_limits_exits_2_at_once(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and elapsed < 0.1
     assert captured.err == f"error: {message}\n"
+
+
+def test_b2_rank_past_its_limit_exits_2_at_once(tmp_path, capsys):
+    # one double curve between components of b2 200 000 took 2 s and
+    # 150 MB in the rank cross-check
+    config = {"components": [{"id": "A", "b2": 200_000}, {"id": "B", "b2": 200_000}],
+              "double_curves": [{"id": "D", "between": ["A", "B"]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps([{"id": "l", "kind": "link", "config": config}]))
+    message = ("b2 rank cross-check too costly: 1^2 double curves x 400000-entry rows "
+               f"(over {dualcomplex.RANK_WORK_LIMIT} units)")
+    for argv in (["dualcomplex-invariants", str(path)], ["corpus", str(corpus_path)]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and elapsed < 0.1
+        assert captured.err.startswith("error: ") and captured.err.endswith(message + "\n")
+        assert captured.err.count("\n") == 1
 
 
 def test_defspace_fiber(capsys):

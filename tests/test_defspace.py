@@ -50,6 +50,9 @@ def test_degree_and_samples_are_bounded():
     assert ramification_check(m, samples=SAMPLE_LIMIT).ok
     with pytest.raises(ConfigError, match=f"1000000 samples too many \\(over {SAMPLE_LIMIT}\\)"):
         ramification_check(m, samples=1_000_000)
+    # a negative count checks nothing, so it is not reported as a count
+    with pytest.raises(ConfigError, match="samples must be nonnegative, got -5"):
+        ramification_check(m, samples=-5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

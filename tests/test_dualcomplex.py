@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from singkit.corpus import (
     UNCLASSIFIED_PAIR,
 )
 from singkit.dualcomplex import (
+    RANK_WORK_LIMIT,
     Cusp,
     SimpleElliptic,
     Verdict,
@@ -153,6 +155,31 @@ def test_restriction_rank_matches_b2e():
 def test_restriction_rank_deterministic_per_seed():
     c = cfg(TYPE_III2_DISK)
     assert restriction_rank_b2(c, seed=3) == restriction_rank_b2(c, seed=3)
+
+
+def _chain(length, b2):
+    return {"components": [{"id": f"E{i}", "b2": b2} for i in range(length)],
+            "double_curves": [{"id": f"D{i}", "between": [f"E{i}", f"E{i + 1}"]}
+                              for i in range(length - 1)]}
+
+
+def test_restriction_rank_is_charged_before_it_runs():
+    # 10 rows of 500 entries are charged 10 * 10 * 500, the limit itself
+    c = cfg(_chain(11, 250))
+    assert restriction_rank_b2(c) == link_invariant(c).b2e == 11 * 250 - 10
+    # one curve between components of b2 200 000 took 2 s and 150 MB, and
+    # 200 parallel curves between components of b2 100 took 62 s
+    pair = {"components": [{"id": "A", "b2": 200_000}, {"id": "B", "b2": 200_000}],
+            "double_curves": [{"id": "D", "between": ["A", "B"]}]}
+    parallel = {"components": [{"id": "A", "b2": 100}, {"id": "B", "b2": 100}],
+                "double_curves": [{"id": f"D{i}", "between": ["A", "B"]} for i in range(200)]}
+    for d, rows, longest in [(_chain(11, 251), 10, 502), (pair, 1, 400_000), (parallel, 200, 200)]:
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=(
+                f"^b2 rank cross-check too costly: {rows}\\^2 double curves x {longest}-entry "
+                f"rows \\(over {RANK_WORK_LIMIT} units\\)$")):
+            restriction_rank_b2(cfg(d))
+        assert time.perf_counter() - start < 0.1
 
 
 def test_random_chain_ell_closed_form():
@@ -386,6 +413,16 @@ def test_rejects_anticanonical_boundary_that_is_not_a_list(anti):
 def test_rejects_h0q_key_that_is_not_an_integer(key):
     with pytest.raises(ConfigError, match=f"h0q keys must be integers q, got {key!r}"):
         config_from_dict({"components": [{"id": "E", "kind": "rational", "h0q": {key: 1}}]})
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"2": 1, "02": 5}, "h0q key '02' repeats q = 2"),
+    ({"2": 1, " 2": 5}, "h0q key ' 2' repeats q = 2"),
+    ({"1": 0, "-3": 1}, "h0q key '-3' is negative"),
+])
+def test_rejects_h0q_key_that_repeats_or_is_negative(table, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict({"components": [{"id": "E", "kind": "rational", "h0q": table}]})
 
 
 def test_rejects_duplicate_ids():

@@ -10,8 +10,10 @@ from singkit.errors import LocalWorkLimitError
 from singkit.localring import (
     FIRST_ATTEMPT_WORK,
     INFINITE,
+    LOCAL_WORK_LIMIT,
     LocalIdeal,
     _engines,
+    _entry,
     _fermat_weights,
     _germ_basis,
     _germ_generators,
@@ -44,6 +46,17 @@ def jacobian_ideal(f, with_f=False):
     gens = [f] if with_f else []
     gens += [f.differentiate(v) for v in f.vars]
     return LocalIdeal(f.vars, [g for g in gens if not g.is_zero()])
+
+
+def _normal_form(h, sb, reducers=None):
+    """Mora normal form of the terms h against `reducers` (term dicts,
+    default sb's minimal monic basis) as standard_basis runs it: primitive
+    integer polynomials keyed in sb's order, cut at sb's corner."""
+    keys = _Keys(sb.weights)
+    pool = [_entry(keys.keyed(_primitive(g)))
+            for g in reducers or [b.terms for b in sb.basis]]
+    return mora_normal_form(keys.keyed(_primitive(h)), pool, sb.corner,
+                            _Work(LOCAL_WORK_LIMIT))
 
 
 TAU_TABLE = [
@@ -124,7 +137,6 @@ def test_ideal_members_reduce_to_zero():
     f = P("x^2 + y^2 + z^5 - w^5 + z^3*w^3")
     gens = [f.differentiate(v) for v in XYZW]
     sb = standard_basis(LocalIdeal(XYZW, gens))
-    basis = [dict(b.terms) for b in sb.basis]
     rng = random.Random(17)
     for _ in range(25):
         # random small combination sum c_i * m_i * g_i of the generators
@@ -139,7 +151,7 @@ def test_ideal_members_reduce_to_zero():
             h = h + mono * g
         if h.is_zero():
             continue
-        rem = mora_normal_form(dict(h.terms), basis)
+        rem = _normal_form(h.terms, sb)
         assert not rem, f"nonzero normal form for an ideal member: {rem}"
 
 
@@ -307,14 +319,12 @@ def test_ideal_members_reduce_to_zero_against_basis_truncated_mid_run(text):
     for b in sb.basis:
         lead = leading_exponent(b.terms)
         assert all(sum(e) < sb.corner or e == lead for e in b.terms)
-    basis = [dict(b.terms) for b in sb.basis]
     rng = random.Random(23)
     for _ in range(15):
         h = _random_member(ideal.generators, rng)
         if h.is_zero():
             continue
-        assert not mora_normal_form(dict(h.terms), basis)
-        assert not mora_normal_form(dict(h.terms), basis, bound=sb.corner)
+        assert not _normal_form(h.terms, sb)
 
 
 # ---------------------------------------------------------------- theorem-based properties
@@ -838,21 +848,10 @@ def _members_and_fraction_reducers():
 
 
 def test_fraction_reducers_with_denominators_reduce_members_to_zero():
-    # the public route: Fraction dicts in, converted to integers on entry
+    # Fraction dicts, converted to primitive integer polynomials on entry
     checked = 0
     for h, basis, sb in _members_and_fraction_reducers():
-        assert mora_normal_form(h, basis, bound=sb.corner) == {}, sb.ideal
-        checked += 1
-    assert checked > 50
-
-
-def test_normal_form_without_bound_takes_it_from_the_reducers_leads():
-    # with no bound given, reducers whose leads hold every pure power
-    # certify one themselves; without that, reducing members against a
-    # basis cut at its corner can run on and on
-    checked = 0
-    for h, basis, sb in _members_and_fraction_reducers():
-        assert mora_normal_form(h, basis) == {}, sb.ideal
+        assert _normal_form(h, sb, basis) == {}, sb.ideal
         checked += 1
     assert checked > 50
 
@@ -956,11 +955,10 @@ def test_weighted_standard_bases_agree_with_oracle(nvars):
         # and members of the ideal reduce to zero under the same order
         count, top = _staircase(sb.leading_exponents, nvars, weights)
         assert (count, top + 1) == (sb.colength, sb.corner)
-        basis = [dict(b.terms) for b in sb.basis]
         for _ in range(3):
             h = _random_member_of(ideal, rng)
             if not h.is_zero():
-                assert mora_normal_form(dict(h.terms), basis, weights=weights) == {}
+                assert _normal_form(h.terms, sb) == {}
 
 
 def test_colength_does_not_depend_on_the_weights():
@@ -1002,23 +1000,28 @@ def test_local_work_limit_caps_every_attempt_together(monkeypatch):
     calls = []
 
     def recording(ideal, *, weights=None, work=None):
-        calls.append((weights, work.left, work.final))
+        calls.append((weights, work.left))
         return standard_basis(ideal, weights=weights, work=work)
     monkeypatch.setattr(localring, "standard_basis", recording)
     monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 50_000)
     with pytest.raises(LocalWorkLimitError, match="over 50000 units"):
         milnor_number(P(GERM_115))
-    given = [n for _, n, _ in calls]
+    given = [n for _, n in calls]
     assert given[:4] == [4096, 4096, 8192, 8192]
-    assert sum(given) == 50_000 and [final for *_, final in calls][-1]
-    assert [w for w, *_ in calls][:2] == [(6, 5, 10, 6), None]
+    # only the last attempt is given all that is left (n == left), and
+    # its LocalWorkLimitError ends the number
+    assert sum(given) == 50_000
+    assert [n == 50_000 - sum(given[:i]) for i, n in enumerate(given)] == \
+        [False] * (len(given) - 1) + [True]
+    assert [w for w, _ in calls][:2] == [(6, 5, 10, 6), None]
 
 
 def test_a_step_costs_terms_times_lead_and_multiplier_words():
     c = 2**130 + 1  # 131 bits: 1 + 131 // 64 = 3 words
+    keys = _Keys((1, 1, 1))
+    reducers = [_entry(keys.keyed(g)) for g in ({(1, 0, 0): c, (0, 2, 0): 1}, {(0, 1, 0): 1})]
     work = _Work(100)
-    h = mora_normal_form({(1, 0, 0): 1, (0, 1, 0): 1},
-                         [{(1, 0, 0): c, (0, 2, 0): 1}, {(0, 1, 0): 1}], work=work)
+    h = mora_normal_form(keys.keyed({(1, 0, 0): 1, (0, 1, 0): 1}), reducers, None, work)
     assert h == {}
     # x + y against c*x + y^2 (multiplier c): 2 terms * 1 * 3; then
     # c*y - y^2 (lead coefficient c) against y (multiplier 1): 2 * 3 * 1;
@@ -1041,11 +1044,6 @@ def test_local_work_limit_ends_a_standard_basis_that_would_not(monkeypatch):
     ideal = LocalIdeal(xyz, [parse_polynomial(t, xyz) for t in NON_ISOLATED])
     with pytest.raises(LocalWorkLimitError):
         quotient_dim(standard_basis(ideal))
-    # a public normal form has the same limit: its first step, on two
-    # terms, already costs 2
-    monkeypatch.setattr(localring, "LOCAL_WORK_LIMIT", 1)
-    with pytest.raises(LocalWorkLimitError):
-        mora_normal_form({(2, 0, 0): 1, (0, 2, 0): 1}, [{(1, 0, 0): 1}, {(0, 1, 0): 1}])
 
 
 # ---------------------------------------------------------------- integer generators from the germ
