@@ -70,7 +70,6 @@ from .defspace import (
     FiberPoint,
     FiberResult,
     JacobianResult,
-    RamificationResult,
     RootFactorMap,
     apply_map,
     build,
@@ -103,5 +102,5 @@ __all__ = [
     "RootFactorMap", "build", "verify_factor_identity", "reduce_mod_monic",
     "inverse_composition_reduces", "JacobianResult", "jacobian_identity",
     "FiberPoint", "FiberResult", "fiber_count", "apply_map",
-    "RamificationResult", "ramification_check",
+    "ramification_check",
 ]

@@ -7,9 +7,10 @@ Every subcommand prints a single JSON report to stdout:
 Exit status: 0 = computed and all hard checks passed, 1 = a consistency
 check failed, 2 = bad input (parse error, malformed config, missing file)
 or an input whose work would pass a limit (PARSE_WORK_LIMIT,
-ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT), with a one-line diagnostic.
-Reports are emitted with sorted keys so identical inputs and seeds give
-byte-identical output.
+ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT), with a one-line
+diagnostic.  Reports are emitted with sorted keys so identical inputs give
+byte-identical output.  No computation is randomized: `--seed` is echoed
+in the report's inputs and nothing else depends on it.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _cmd_smallres(args):
 
 def _cmd_dc_invariants(args):
     data = _load_json(args.config)
-    results, checks, warnings = corpus.link({"config": data}, seed=args.seed)
+    results, checks, warnings = corpus.link({"config": data})
     _write_dot(args, data, results)
     return _emit("dualcomplex-invariants", {"config": data, "seed": args.seed},
                  results, checks, warnings)
@@ -100,10 +101,8 @@ def _cmd_dc_classify(args):
 
 
 def _cmd_defspace_verify(args):
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be a nonnegative integer, got {args.samples}")
     return _emit("defspace-verify", {"n": args.n, "seed": args.seed},
-                 *corpus.defspace({"n": args.n, "samples": args.samples}, seed=args.seed))
+                 *corpus.defspace({"n": args.n}))
 
 
 def _cmd_defspace_fiber(args):
@@ -121,7 +120,7 @@ def _cmd_corpus(args):
         entries = _load_json(args.path)
         if not isinstance(entries, list):
             raise ConfigError("a corpus file must be a JSON list of entries")
-    checks = corpus.run_corpus(entries, seed=args.seed)
+    checks = corpus.run_corpus(entries)
     summary = {
         "total": len(checks),
         "passed": sum(1 for c in checks if c["pass"]),
@@ -132,6 +131,8 @@ def _cmd_corpus(args):
 
 
 # -- wiring ----------------------------------------------------------------------
+
+SEED_HELP = "echoed in the report's inputs; no number depends on it"
 
 
 def build_parser():
@@ -158,7 +159,7 @@ def build_parser():
     p = sub.add_parser("dualcomplex-invariants",
                        help="numerical invariants of an exceptional divisor configuration")
     p.add_argument("config", help="path to a divisor configuration (JSON)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--dot", metavar="PATH",
                    help="write a Graphviz rendering of the configuration to PATH")
     p.set_defaults(func=_cmd_dc_invariants)
@@ -173,8 +174,7 @@ def build_parser():
     p = sub.add_parser("defspace-verify",
                        help="verify the root-splitting map identities for one degree")
     p.add_argument("--n", type=int, required=True, help="degree of the target polynomial")
-    p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=_cmd_defspace_verify)
 
     p = sub.add_parser("defspace-fiber",
@@ -188,7 +188,7 @@ def build_parser():
     p = sub.add_parser("corpus", help="run the bundled (or an external) regression corpus")
     p.add_argument("path", nargs="?", default=None,
                    help="optional path to a JSON corpus; defaults to the bundled entries")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -8,7 +8,7 @@ cares about.  External corpus files use the same schema: a JSON list of
 these entry objects.
 
 Each kind has one operation here, shared with the CLI subcommands: it takes
-the fields of an entry and a seed and returns (results, checks, warnings)
+the fields of an entry and returns (results, checks, warnings)
 as the CLI reports them; the runner reads an entry's pinned values off that.
 """
 
@@ -244,17 +244,17 @@ def _local_number(inputs, number, name, relation):
     return {name: value, "relations": {name: relation}}, [], warnings
 
 
-def tjurina(inputs, seed=0):
+def tjurina(inputs):
     return _local_number(inputs, tjurina_number, "tau",
                          "dim of the local ring modulo (f, all partials of f)")
 
 
-def milnor(inputs, seed=0):
+def milnor(inputs):
     return _local_number(inputs, milnor_number, "mu",
                          "dim of the local ring modulo (all partials of f)")
 
 
-def smallres(inputs, seed=0):
+def smallres(inputs):
     inv, checks, warnings = sr.small_res_report(sr.germ_from_dict(inputs["germ"]))
     results = {
         **asdict(inv),
@@ -271,10 +271,10 @@ def smallres(inputs, seed=0):
     return results, checks, warnings
 
 
-def link(inputs, seed=0):
+def link(inputs):
     config = dc.config_from_dict(inputs["config"])
     rep = dc.link_invariant(config)
-    rank_b2 = dc.restriction_rank_b2(config, seed=seed)
+    rank_b2 = dc.restriction_rank_b2(config)
     complex_ = dc.build_dual_complex(config)
     checks = [{
         "name": "b2 restriction matrix rank agrees",
@@ -322,7 +322,7 @@ def _semistable_model(spec):
     return cls(**{k: params[k] for k in names})
 
 
-def semistable(inputs, seed=0):
+def semistable(inputs):
     config = dc.config_from_dict(inputs["config"])
     chk = dc.semistable_ell_check(config, _semistable_model(inputs["model"]))
     results = {"ok": chk.ok, "expected": chk.expected, "actual": chk.actual,
@@ -330,7 +330,7 @@ def semistable(inputs, seed=0):
     return results, [], []
 
 
-def classify(inputs, seed=0):
+def classify(inputs):
     config = dc.config_from_dict(inputs["config"])
     result = dc.classify(config)
     results = {
@@ -360,24 +360,22 @@ _DEFSPACE_CHECKS = (
 )
 
 
-def defspace(inputs, seed=0):
+def defspace(inputs):
     m = ds.build(inputs["n"])
-    ram = ds.ramification_check(m, samples=inputs.get("samples", 24), seed=seed)
     jac = ds.jacobian_identity(m)
     outcomes = (ds.verify_factor_identity(m), jac.matches,
-                ds.inverse_composition_reduces(m), ram.ok)
+                ds.inverse_composition_reduces(m), ds.ramification_check(m))
     checks = [{"name": name, "expected": True, "actual": ok, "pass": ok}
               for (_, name), ok in zip(_DEFSPACE_CHECKS, outcomes)]
     results = {
         "n": inputs["n"],
         "map": [str(c) for c in m.components],
         "jacobian_sign": jac.sign,
-        "ramification_samples": ram.samples,
     }
     return results, checks, []
 
 
-def fiber(inputs, seed=0):
+def fiber(inputs):
     fib = ds.fiber_count(ds.build(inputs["n"]), inputs["b"])
     results = {
         "n": inputs["n"],
@@ -440,15 +438,13 @@ _FIELD_TYPES = {
              lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v)),
     "b": ("a list of integers or rational strings",
           lambda v: isinstance(v, list) and all(map(_is_rational, v))),
-    "samples": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
 }
 
 
-def run_entry(entry, seed=0):
+def run_entry(entry):
     """The entry's check as corpus reports print it: its id as name, the
-    pinned values expected and computed, and whether they agree."""
-    if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
-        raise ConfigError("each corpus entry needs 'id' and 'kind'")
+    pinned values expected and computed, and whether they agree.  The
+    entry is an object with a string id and a kind (run_corpus checks)."""
     if not isinstance(entry["kind"], str) or entry["kind"] not in _KINDS:
         raise ConfigError(f"unknown corpus entry kind {entry['kind']!r}")
     if not isinstance(entry.get("expected", {}), dict):
@@ -461,7 +457,7 @@ def run_entry(entry, seed=0):
         if name in entry and not valid(entry[name]):
             raise ConfigError(f"corpus entry {entry['id']!r}: {name} must be {want}, "
                               f"got {entry[name]!r}")
-    results, checks, _warnings = op(entry, seed)
+    results, checks, _warnings = op(entry)
     actual = pinned(jsonify(results), jsonify(checks))
     expected = entry.get("expected", {})
     if expected:
@@ -470,7 +466,7 @@ def run_entry(entry, seed=0):
             "pass": actual == expected or not expected}
 
 
-def run_corpus(entries=None, seed=0):
+def run_corpus(entries=None):
     """Run entries one after another; results come back in entry-id order
     so reports are deterministic."""
     if entries is None:
@@ -480,9 +476,12 @@ def run_corpus(entries=None, seed=0):
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise ConfigError(f"corpus entry {i} is not an object")
-        if "id" in e and not isinstance(e["id"], str):
+        for key in ("id", "kind"):
+            if key not in e:
+                raise ConfigError(f"corpus entry {i} needs {key!r}")
+        if not isinstance(e["id"], str):
             raise ConfigError(f"corpus entry {i}: id must be a string, got {e['id']!r}")
-    ids = [e.get("id") for e in entries]
+    ids = [e["id"] for e in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate corpus entry ids")
-    return sorted((run_entry(e, seed=seed) for e in entries), key=lambda r: r["name"])
+    return sorted((run_entry(e) for e in entries), key=lambda r: r["name"])

@@ -19,7 +19,6 @@ points over rational base points.  Everything is exact.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,13 +33,10 @@ from .poly import Poly, PolyMatrix, _uni_rem, discriminant, univariate_gcd
 # gcd that skips a/b not in lowest terms, ran at 0.06-0.09 us per charged
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
-# Largest degree n that `build` accepts and most samples that
-# `ramification_check` takes, chosen by measurement (Python 3.11.7, 2-core
-# VM): defspace-verify's identities took 0.09 s at n = 14, 0.84 s at
-# n = 24 and 1.7-2.2 s at n = 28, and a sample 0.04 ms at n = 3 and
-# 0.5 ms at n = 24, so n = 24 with 1000 samples takes about 1.1 s.
+# Largest degree n that `build` accepts, chosen by measurement (Python
+# 3.11.7, 2-core VM): defspace-verify's identities took 0.09 s at n = 14,
+# 0.84 s at n = 24 and 1.7-2.2 s at n = 28.
 DEGREE_LIMIT = 24
-SAMPLE_LIMIT = 1000
 
 
 def _b_names(n):
@@ -162,12 +158,10 @@ def inverse_composition_reduces(m: RootFactorMap) -> bool:
     """Substituting t = inverse_t into the map returns each b_j exactly
     modulo the single relation P(lam; b) = 0."""
     ring = ("lam",) + m.b_names
-    inv = inverse_t(m)
-    mapping = dict(zip(m.t_names, inv))
+    mapping = dict(zip(m.t_names, inverse_t(m)))
     rel = target_at_root(m)
     for name, comp in zip(m.b_names, m.components):
-        comp_b = comp.in_ambient(("lam",) + m.t_names).substitute(mapping or {"lam": Poly.var(ring, "lam")})
-        diff = comp_b.in_ambient(ring) - Poly.var(ring, name)
+        diff = comp.substitute(mapping).in_ambient(ring) - Poly.var(ring, name)
         if not reduce_mod_monic(diff, rel, "lam").is_zero():
             return False
     return True
@@ -306,44 +300,13 @@ def _rational_roots(p: Poly, name: str) -> list:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class RamificationResult:
-    ok: bool
-    symbolic_ok: bool
-    numeric_ok: bool
-    samples: int
-
-
-def ramification_check(m: RootFactorMap, samples: int = 24, seed: int = 0) -> RamificationResult:
-    """P'(lam)|_{b -> map} == Q(lam; lam, t): the map is ramified exactly
-    where the split root collides with a root of the cofactor.  Checked
-    symbolically and on seeded rational samples, from 0 to SAMPLE_LIMIT of
-    them."""
-    if samples < 0:
-        raise ConfigError(f"samples must be nonnegative, got {samples}")
-    if samples > SAMPLE_LIMIT:
-        raise ConfigError(f"{samples} samples too many (over {SAMPLE_LIMIT})")
+def ramification_check(m: RootFactorMap) -> bool:
+    """P'(lam)|_{b -> map} == Q(lam; lam, t), exactly: the map is ramified
+    exactly where the split root collides with a root of the cofactor."""
     mv = ("lam",) + m.t_names
     lam_poly = Poly.var(mv, "lam")
     mapping = {"w": lam_poly}
     for name, comp in zip(m.b_names, m.components):
         mapping[name] = comp
     dp_at = m.target.differentiate("w").substitute(mapping)
-    q_at = m.cofactor.substitute({"w": lam_poly})
-    symbolic_ok = dp_at == q_at
-
-    rng = random.Random(seed)
-    numeric_ok = True
-    for _ in range(samples):
-        point = {"lam": Fraction(rng.randint(-9, 9), rng.randint(1, 4))}
-        for name in m.t_names:
-            point[name] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        if dp_at.evaluate(point) != q_at.evaluate(point):
-            numeric_ok = False
-            break
-    return RamificationResult(
-        ok=symbolic_ok and numeric_ok,
-        symbolic_ok=symbolic_ok,
-        numeric_ok=numeric_ok,
-        samples=samples,
-    )
+    return dp_at == m.cofactor.substitute({"w": lam_poly})

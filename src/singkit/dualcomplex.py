@@ -27,25 +27,22 @@ line-bundle identities, intersection numbers) are recorded as ASSUMED.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConfigError
-from .poly import _reduce_into
 
-# Work bound of `restriction_rank_b2`'s exact elimination, charged before
-# it runs as rows * rows * (longest row): a row reduces against at most
-# one pivot per earlier row, each about a row long.  Chosen by measurement
-# (Python 3.11.7, 2-core VM): at 50 000 units, one double curve between
-# components of b2 25 000 took 0.28 s, 60 curves from a hub of b2 11 to
-# 30 components 0.23 s and 15 parallel curves between components of b2
-# 100 0.18 s; 200 such curves (8 * 10^6 units) took 62 s.  Chains are
-# charged more than they cost (36 components of b2 20: 7 ms), but every
-# bundled configuration is charged at most 576 units.
-RANK_WORK_LIMIT = 50_000
+# Work bound of `restriction_rank_b2`'s matching count, charged before it
+# runs as curves * (components + curves): each curve's breadth-first search
+# visits every component and every curve at most once.  Chosen by
+# measurement (Python 3.11.7, 2-core VM): the dearest shape per unit is a
+# chain of k components of b2 1 with one more curve at its head and m
+# parallel curves at its tail, which every search walks in full: about
+# 40 ns per unit, so k = m = 816 (4.0 * 10^6 units) took 0.15-0.16 s and
+# k = m = 1000 (6 * 10^6) 0.23-0.27 s.  Random and parallel shapes cost
+# 0.3-23 ns per unit, and a large b2 costs nothing.
+RANK_WORK_LIMIT = 4_000_000
 
 
 class Kind(str, Enum):
@@ -304,36 +301,52 @@ def link_invariant(config: DivisorConfiguration) -> InvariantReport:
     )
 
 
-def restriction_rank_b2(config: DivisorConfiguration, seed: int = 0) -> int:
-    """Independent recomputation of b2(E) as sum b2(E_i) minus the exact
-    rank of a random-integer restriction matrix with one row per double
-    curve, supported on the two incident components' b2 blocks.  The
-    elimination is charged against RANK_WORK_LIMIT before it runs; past
-    it, ConfigError."""
+def restriction_rank_b2(config: DivisorConfiguration) -> int:
+    """Independent recomputation of b2(E) as sum b2(E_i) minus the generic
+    rank of the restriction matrix, which has one row per double curve,
+    free entries on the two incident components' b2 blocks and zeros
+    elsewhere.  That rank is the largest number of double curves that can
+    each take a class of its own on one of their two components (Edmonds,
+    1967), found with one breadth-first augmenting path per curve, so
+    b2(E) is the number of classes left free.  The count is charged
+    against RANK_WORK_LIMIT before it runs; past it, ConfigError."""
     missing = [c.id for c in config.components if c.b2 is None]
     if missing:
         raise ConfigError(f"components missing b2: {missing}")
-    rows = len(config.double_curves)
-    longest = max((sum(config.by_id[end].b2 for end in d.between)
-                   for d in config.double_curves), default=0)
-    if rows * rows * longest > RANK_WORK_LIMIT:
-        raise ConfigError(f"b2 rank cross-check too costly: {rows}^2 double curves x "
-                          f"{longest}-entry rows (over {RANK_WORK_LIMIT} units)")
-    rng = random.Random(seed)
-    offset = {}
-    total = 0
-    for c in config.components:
-        offset[c.id] = total
-        total += c.b2
-    pivots = {}
-    for d in config.double_curves:
-        row = {}
-        for end in d.between:
-            c = config.by_id[end]
-            for j in range(c.b2):
-                row[offset[end] + j] = Fraction(rng.randint(1, 997))
-        _reduce_into(pivots, row)
-    return total - len(pivots)
+    curves = len(config.double_curves)
+    comps = len(config.components)
+    if curves * (comps + curves) > RANK_WORK_LIMIT:
+        raise ConfigError(f"b2 rank cross-check too costly: {curves} double curves x "
+                          f"({comps} components + {curves} curves) "
+                          f"(over {RANK_WORK_LIMIT} units)")
+    ends = [d.between for d in config.double_curves]
+    free = {c.id: c.b2 for c in config.components}  # classes not yet taken
+    taking = {c.id: set() for c in config.components}  # curves holding one
+    for i, pair in enumerate(ends):
+        # a curve holding a class of a component reached can move to its
+        # other end: search breadth-first for a component with a free class
+        # (the loop also visits the components it appends)
+        came_from = {end: (i, None) for end in pair}
+        queue = list(pair)
+        for c in queue:
+            if free[c]:
+                break
+            for j in taking[c]:
+                a, b = ends[j]
+                other = b if a == c else a
+                if other not in came_from:
+                    came_from[other] = (j, c)
+                    queue.append(other)
+        else:
+            continue
+        free[c] -= 1
+        while c is not None:  # each curve on the path moves one step on
+            j, prev = came_from[c]
+            taking[c].add(j)
+            if prev is not None:
+                taking[prev].remove(j)
+            c = prev
+    return sum(free.values())
 
 
 def deformation_dims(config: DivisorConfiguration, ambient_dim: int = 3) -> InvariantReport:

@@ -176,7 +176,7 @@ def test_acceptance_5_link_invariant():
         c = config_from_dict({"components": comps, "double_curves": curves})
         got = link_invariant(c)
         want = sum(comp["b2"] - 1 for comp in comps) - len(curves)
-        if got.ell != want or restriction_rank_b2(c, seed=rng.randint(0, 999)) != got.b2e:
+        if got.ell != want or restriction_rank_b2(c) != got.b2e:
             ok = False
             print(f"  chain r={r}: ell {got.ell} want {want}")
     _announce(5, "link invariant", ok)
@@ -230,7 +230,7 @@ def test_acceptance_7_symbolic_identities():
             and jac.matches
             and jac.sign in (1, -1)
             and defspace.inverse_composition_reduces(m)
-            and defspace.ramification_check(m).ok
+            and defspace.ramification_check(m)
         )
         if not good:
             ok = False

@@ -163,21 +163,10 @@ def test_defspace_verify(capsys):
     assert report["results"]["jacobian_sign"] == -1
 
 
-def test_defspace_verify_negative_samples_exits_2(capsys):
-    assert main(["defspace-verify", "--n", "3", "--samples", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --samples must be a nonnegative integer, got -1\n"
-    code, report = run(capsys, "defspace-verify", "--n", "3", "--samples", "0")
-    assert code == 0 and report["results"]["ramification_samples"] == 0
-
-
 @pytest.mark.parametrize("argv, message", [
     (["defspace-verify", "--n", "60"], f"degree n = 60 too large (over {defspace.DEGREE_LIMIT})"),
     (["defspace-fiber", "--n", "60", "--b", "0"],
      f"degree n = 60 too large (over {defspace.DEGREE_LIMIT})"),
-    (["defspace-verify", "--n", "3", "--samples", "1000000"],
-     f"1000000 samples too many (over {defspace.SAMPLE_LIMIT})"),
 ])
 def test_defspace_past_its_limits_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -188,18 +177,46 @@ def test_defspace_past_its_limits_exits_2_at_once(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_b2_rank_past_its_limit_exits_2_at_once(tmp_path, capsys):
-    # one double curve between components of b2 200 000 took 2 s and
-    # 150 MB in the rank cross-check
-    config = {"components": [{"id": "A", "b2": 200_000}, {"id": "B", "b2": 200_000}],
-              "double_curves": [{"id": "D", "between": ["A", "B"]}]}
-    path = tmp_path / "big.json"
+def _b2_inputs(tmp_path, config):
+    """argv of dualcomplex-invariants and of corpus on one configuration."""
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(json.dumps([{"id": "l", "kind": "link", "config": config}]))
-    message = ("b2 rank cross-check too costly: 1^2 double curves x 400000-entry rows "
-               f"(over {dualcomplex.RANK_WORK_LIMIT} units)")
-    for argv in (["dualcomplex-invariants", str(path)], ["corpus", str(corpus_path)]):
+    return (["dualcomplex-invariants", str(path)], ["corpus", str(corpus_path)])
+
+
+@pytest.mark.parametrize("config", [
+    # a 100-component chain of b2 20
+    {"components": [{"id": f"E{i}", "b2": 20} for i in range(100)],
+     "double_curves": [{"id": f"D{i}", "between": [f"E{i}", f"E{i + 1}"]} for i in range(99)]},
+    # one curve between components of b2 200 000
+    {"components": [{"id": "A", "b2": 200_000}, {"id": "B", "b2": 200_000}],
+     "double_curves": [{"id": "D", "between": ["A", "B"]}]},
+    # 200 parallel curves between components of b2 100
+    {"components": [{"id": "A", "b2": 100}, {"id": "B", "b2": 100}],
+     "double_curves": [{"id": f"D{i}", "between": ["A", "B"]} for i in range(200)]},
+], ids=["chain", "pair", "parallel"])
+def test_b2_rank_of_shapes_the_elimination_refused_exits_0_at_once(tmp_path, capsys, config):
+    for argv in _b2_inputs(tmp_path, config):
+        start = time.perf_counter()
+        code, report = run(capsys, *argv)
+        assert code == 0 and time.perf_counter() - start < 0.1, argv
+        assert all(c["pass"] for c in report["checks"]), argv
+
+
+def test_b2_rank_past_its_limit_exits_2_at_once(tmp_path, capsys):
+    # a chain of 817 components of b2 1, one more curve at its head and 817
+    # parallel curves at its tail is charged 1634 * (817 + 1634) units;
+    # every tail curve's search would walk the whole chain
+    comps = [{"id": f"E{i}", "b2": 1} for i in range(817)]
+    pairs = [(i, i + 1) for i in range(816)] + [(0, 1)] + [(815, 816)] * 817
+    config = {"components": comps,
+              "double_curves": [{"id": f"D{j}", "between": [f"E{a}", f"E{b}"]}
+                                for j, (a, b) in enumerate(pairs)]}
+    message = ("b2 rank cross-check too costly: 1634 double curves x "
+               f"(817 components + 1634 curves) (over {dualcomplex.RANK_WORK_LIMIT} units)")
+    for argv in _b2_inputs(tmp_path, config):
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
@@ -262,6 +279,7 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
         {"id": "same", "kind": "tjurina", "poly": "x^2+y^2+z^2+w^4"},
     ]))
     assert main(["corpus", str(dup)]) == 2
+    assert capsys.readouterr().err == "error: duplicate corpus entry ids\n"
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -327,14 +345,13 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
      "corpus entry 'f': b must be a list of integers or rational strings"),
     ([{"id": "f", "kind": "fiber", "n": 3, "b": ["1/0", "0"]}],
      "corpus entry 'f': b must be a list of integers or rational strings"),
-    ([{"id": "d", "kind": "defspace", "n": 3, "samples": "x"}],
-     "corpus entry 'd': samples must be a nonnegative integer, got 'x'"),
-    ([{"id": "d", "kind": "defspace", "n": 3, "samples": 2.5}],
-     "corpus entry 'd': samples must be a nonnegative integer, got 2.5"),
-    ([{"id": "d", "kind": "defspace", "n": 3, "samples": -4}],
-     "corpus entry 'd': samples must be a nonnegative integer, got -4"),
-    ([{"id": "d", "kind": "defspace", "n": 3, "samples": False}],
-     "corpus entry 'd': samples must be a nonnegative integer, got False"),
+    ([{"kind": "tjurina", "poly": "x^2"}, {"kind": "tjurina", "poly": "x^3"}],
+     "corpus entry 0 needs 'id'"),
+    ([{"id": "a", "kind": "tjurina", "poly": "x^2"}, {"id": "b", "poly": "x^3"}],
+     "corpus entry 1 needs 'kind'"),
+    ([{"id": "a"}, {"id": "a"}], "corpus entry 0 needs 'kind'"),
+    ([{"id": "a", "kind": "tjurina", "poly": "x^2"}, {"kind": "milnor", "poly": "x^2"}],
+     "corpus entry 1 needs 'id'"),
     ([{"id": "s", "kind": "smallres", "germ": {"g": 2, "family": "a1_times", "n": 1}}],
      "g must be a polynomial string, got 2"),
     ([{"id": "c", "kind": "classify", "config": {
@@ -385,6 +402,22 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.encode() == second.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualcomplex-invariants", "disk.json"],
+    ["defspace-verify", "--n", "5"],
+    ["corpus"],
+], ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_the_seed(tmp_path, capsys, argv):
+    (tmp_path / "disk.json").write_text(json.dumps(TYPE_III2_DISK))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    reports = []
+    for seed in ("0", "91"):
+        code, report = run(capsys, *argv, "--seed", seed)
+        assert code == 0 and report["inputs"].pop("seed") == int(seed)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_console_script_entry_point():
@@ -549,7 +582,7 @@ def _argv(draw, path):
         return [draw(_mistyped(_ENTRIES))], ["corpus", path]
     n = str(draw(st.integers(-2, 6)))
     if draw(st.booleans()):
-        return None, ["defspace-verify", "--n", n, "--samples", str(draw(st.integers(-2, 30)))]
+        return None, ["defspace-verify", "--n", n, "--seed", str(draw(st.integers(-2, 30)))]
     return None, ["defspace-fiber", "--n", n, f"--b={draw(_TEXT)}"]
 
 

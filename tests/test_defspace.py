@@ -7,7 +7,6 @@ import pytest
 
 from singkit.defspace import (
     DEGREE_LIMIT,
-    SAMPLE_LIMIT,
     apply_map,
     build,
     fiber_count,
@@ -42,17 +41,10 @@ def test_build_rejects_degree_below_two():
         build(1)
 
 
-def test_degree_and_samples_are_bounded():
+def test_degree_is_bounded():
     assert build(DEGREE_LIMIT).n == DEGREE_LIMIT
     with pytest.raises(ConfigError, match=f"degree n = 60 too large \\(over {DEGREE_LIMIT}\\)"):
         build(60)
-    m = build(3)
-    assert ramification_check(m, samples=SAMPLE_LIMIT).ok
-    with pytest.raises(ConfigError, match=f"1000000 samples too many \\(over {SAMPLE_LIMIT}\\)"):
-        ramification_check(m, samples=1_000_000)
-    # a negative count checks nothing, so it is not reported as a count
-    with pytest.raises(ConfigError, match="samples must be nonnegative, got -5"):
-        ramification_check(m, samples=-5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -63,8 +55,7 @@ def test_symbolic_identities(n):
     assert jac.matches
     assert jac.sign == (-1) ** (n - 1)
     assert inverse_composition_reduces(m)
-    ram = ramification_check(m, samples=12, seed=1)
-    assert ram.ok and ram.symbolic_ok and ram.numeric_ok
+    assert ramification_check(m)
 
 
 def test_identities_fast_enough():
@@ -74,7 +65,7 @@ def test_identities_fast_enough():
         assert verify_factor_identity(m)
         assert jacobian_identity(m).matches
         assert inverse_composition_reduces(m)
-        assert ramification_check(m).ok
+        assert ramification_check(m)
     assert time.time() - t0 < 30
 
 
@@ -207,7 +198,7 @@ def test_sign_flip_in_cofactor_breaks_identities():
     bad = dataclasses.replace(m, cofactor=flipped)
     assert not verify_factor_identity(bad)
     assert not jacobian_identity(bad).matches
-    assert not ramification_check(bad, samples=6, seed=0).ok
+    assert not ramification_check(bad)
 
 
 def test_term_drop_breaks_jacobian():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,7 @@ from singkit.dualcomplex import (
     semistable_ell_check,
 )
 from singkit.errors import ConfigError
+from singkit.poly import _reduce_into
 
 TRIANGLE = {
     # three components meeting pairwise in curves but with no triple point:
@@ -147,14 +149,52 @@ def test_restriction_rank_matches_b2e():
     for d in (CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III1_SEGMENT,
               TYPE_III2_DISK, TRIANGLE):
         c = cfg(d)
-        rep = link_invariant(c)
-        for seed in (0, 1, 17):
-            assert restriction_rank_b2(c, seed=seed) == rep.b2e, d
+        assert restriction_rank_b2(c) == link_invariant(c).b2e, d
 
 
-def test_restriction_rank_deterministic_per_seed():
-    c = cfg(TYPE_III2_DISK)
-    assert restriction_rank_b2(c, seed=3) == restriction_rank_b2(c, seed=3)
+def _reference_rank_b2(config, rng):
+    """sum b2(E_i) minus the exact rank over Q of a restriction matrix with
+    seeded integer entries in 1..997 on the two incident components' b2
+    blocks: the generic rank, unless the draw is unlucky."""
+    offset, total = {}, 0
+    for c in config.components:
+        offset[c.id] = total
+        total += c.b2
+    pivots = {}
+    for d in config.double_curves:
+        row = {offset[end] + j: Fraction(rng.randint(1, 997))
+               for end in d.between for j in range(config.by_id[end].b2)}
+        _reduce_into(pivots, row)
+    return total - len(pivots)
+
+
+def _rank_config(rng):
+    """1-7 components of b2 0-8 joined by a spanning tree and up to six
+    more curves, a fifth of them with 1-4 parallel copies, so that some
+    pairs carry more curves than their b2."""
+    r = rng.randint(1, 7)
+    comps = [{"id": f"E{i}", "b2": rng.choice((0, 0, 1, 1, 2, 3, 5, 8))} for i in range(r)]
+    pairs = [(rng.randrange(i), i) for i in range(1, r)]
+    if r >= 2:
+        pairs += [tuple(rng.sample(range(r), 2)) for _ in range(rng.randint(0, 6))]
+    curves = []
+    for a, b in pairs:
+        for _ in range(1 + (rng.randint(1, 4) if rng.random() < 0.2 else 0)):
+            curves.append({"id": f"D{len(curves)}", "between": [f"E{a}", f"E{b}"]})
+    return {"components": comps, "double_curves": curves}
+
+
+def test_restriction_rank_matches_seeded_elimination():
+    rng = random.Random(2020)
+    seen = {"short of b2e": 0, "b2 0": 0}
+    for _ in range(5000):
+        c = cfg(_rank_config(rng))
+        rank_b2 = restriction_rank_b2(c)
+        assert rank_b2 == _reference_rank_b2(c, rng), c.double_curves
+        seen["short of b2e"] += rank_b2 != link_invariant(c).b2e
+        seen["b2 0"] += any(comp.b2 == 0 for comp in c.components)
+    # both the count's deficient case and empty b2 blocks occur
+    assert min(seen.values()) >= 500, seen
 
 
 def _chain(length, b2):
@@ -163,23 +203,54 @@ def _chain(length, b2):
                               for i in range(length - 1)]}
 
 
+def _parallel(curves, b2):
+    return {"components": [{"id": "A", "b2": b2}, {"id": "B", "b2": b2}],
+            "double_curves": [{"id": f"D{i}", "between": ["A", "B"]} for i in range(curves)]}
+
+
+def _walked_chain(k, m):
+    """The count's dearest shape per unit: a chain of k components of b2 1,
+    one more curve at its head and m parallel curves at its tail; every
+    tail curve's search walks the whole chain and finds no free class."""
+    d = _chain(k, 1)
+    d["double_curves"].append({"id": "H", "between": ["E0", "E1"]})
+    d["double_curves"] += [{"id": f"P{j}", "between": [f"E{k - 2}", f"E{k - 1}"]}
+                           for j in range(m)]
+    return d
+
+
 def test_restriction_rank_is_charged_before_it_runs():
-    # 10 rows of 500 entries are charged 10 * 10 * 500, the limit itself
-    c = cfg(_chain(11, 250))
-    assert restriction_rank_b2(c) == link_invariant(c).b2e == 11 * 250 - 10
-    # one curve between components of b2 200 000 took 2 s and 150 MB, and
-    # 200 parallel curves between components of b2 100 took 62 s
-    pair = {"components": [{"id": "A", "b2": 200_000}, {"id": "B", "b2": 200_000}],
-            "double_curves": [{"id": "D", "between": ["A", "B"]}]}
-    parallel = {"components": [{"id": "A", "b2": 100}, {"id": "B", "b2": 100}],
-                "double_curves": [{"id": f"D{i}", "between": ["A", "B"]} for i in range(200)]}
-    for d, rows, longest in [(_chain(11, 251), 10, 502), (pair, 1, 400_000), (parallel, 200, 200)]:
+    # curves * (components + curves): 1999 parallel curves are charged
+    # 3 999 999 units, 2000 of them 4 004 000
+    assert RANK_WORK_LIMIT == 4_000_000
+    assert restriction_rank_b2(cfg(_parallel(1999, 100))) == 0
+    # one curve between components of b2 200 000, 200 parallel curves
+    # between components of b2 100 and a 100-component chain of b2 20 were
+    # refused by the elimination's charge; the count answers them at once
+    for d, rank_b2 in [(_parallel(1, 200_000), 399_999), (_parallel(200, 100), 0),
+                       (_chain(100, 20), 1901)]:
+        start = time.perf_counter()
+        assert restriction_rank_b2(cfg(d)) == rank_b2
+        assert time.perf_counter() - start < 0.1
+    for d, curves, comps in [(_parallel(2000, 1), 2000, 2), (_walked_chain(817, 817), 1634, 817)]:
+        c = cfg(d)
         start = time.perf_counter()
         with pytest.raises(ConfigError, match=(
-                f"^b2 rank cross-check too costly: {rows}\\^2 double curves x {longest}-entry "
-                f"rows \\(over {RANK_WORK_LIMIT} units\\)$")):
-            restriction_rank_b2(cfg(d))
+                f"^b2 rank cross-check too costly: {curves} double curves x "
+                f"\\({comps} components \\+ {curves} curves\\) "
+                f"\\(over {RANK_WORK_LIMIT} units\\)$")):
+            restriction_rank_b2(c)
         assert time.perf_counter() - start < 0.1
+
+
+def test_restriction_rank_follows_a_long_path_in_a_loop():
+    # each chain curve holds the class of its first end, so the head curve
+    # moves all but the first one component on: a path of 1399 steps,
+    # past Python's default recursion limit of 1000
+    c = cfg(_walked_chain(1400, 0))
+    start = time.perf_counter()
+    assert restriction_rank_b2(c) == link_invariant(c).b2e == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_random_chain_ell_closed_form():
@@ -198,7 +269,7 @@ def test_random_chain_ell_closed_form():
         rep = link_invariant(c)
         expected = sum(comp["b2"] - 1 for comp in comps) - len(curves)
         assert rep.ell == expected
-        assert restriction_rank_b2(c, seed=rng.randint(0, 99)) == rep.b2e
+        assert restriction_rank_b2(c) == rep.b2e
 
 
 # ---------------------------------------------------------------- semistable models

@@ -87,7 +87,7 @@ CASES = {
     "smallres-missing-file": ["smallres", "missing.json"],
     "defspace-verify-n2": ["defspace-verify", "--n", "2"],
     "defspace-verify-n4": ["defspace-verify", "--n", "4"],
-    "defspace-verify-n5": ["defspace-verify", "--n", "5", "--samples", "7", "--seed", "3"],
+    "defspace-verify-n5": ["defspace-verify", "--n", "5", "--seed", "3"],
     "defspace-fiber-split": ["defspace-fiber", "--n", "3", "--b=-1,0"],
     "defspace-fiber-double-root": ["defspace-fiber", "--n", "3", "--b", "0,0"],
     "defspace-fiber-fractions": ["defspace-fiber", "--n", "4", "--b=-10/8, 0 ,2/8"],
@@ -122,9 +122,9 @@ DIGESTS = {
     "defspace-fiber-fractions": "4c6a869f5b8c93398ccaecb38bcde61b900513815a39d0517531dc8a39226264",  # exit 0
     "defspace-fiber-split": "49623bdf4ba35759cdf125ebd5c078021d7043713485154bcb34da2f4dfa74dd",  # exit 0
     "defspace-fiber-wrong-length": "8457fb8748baf4e5d485ebfd2ab0fd0685a6e15db65b79f98478eb0acd83273d",  # exit 2
-    "defspace-verify-n2": "a94bb609f75a114976638b396c21ba6a00b0d8035dd2a35ecb86512ef6f83772",  # exit 0
-    "defspace-verify-n4": "e4233f941b71ea220289cdd601abfe70c6642a500b980e06213278ef9adec985",  # exit 0
-    "defspace-verify-n5": "c2fd323bfe3ea6b77cee54578df16a97b33f30ba982b1a198c3d807d9ba6df2d",  # exit 0
+    "defspace-verify-n2": "398b3eccf617566eaacce21c111394528ae520818777e2545def1fc56f32d99c",  # exit 0
+    "defspace-verify-n4": "43340fd6a4b26808f8e75194dc61946e2f6270e8cc23fffc354333a427e72370",  # exit 0
+    "defspace-verify-n5": "81d2b73269ea8384e3cecc3b47912911ace201aed2658b91d2334fe1b997895e",  # exit 0
     "dualcomplex-classify-cubic-cone": "bd0ecf8d862146865dab7036c52a507a33263fd8e90e358b1b53c03e685db53d",  # exit 0
     "dualcomplex-classify-dot": "7f7e1cc734d2d0ae4deeb94c51b18c06e0c50c3b995d3d946b4cc390055cf013",  # exit 0
     "dualcomplex-classify-type-ii-chain": "0d4eab0e66ee7fe22a0002d8cac3d5089812297855052c7bc39d1f254dc15bd5",  # exit 0
