@@ -107,11 +107,26 @@ partials, once as primitive integer polynomials straight from f's terms
 (`_germ_generators`), and hand them to the kernel in a `LocalIdeal` made
 from those integers.  A partial of a positive rational multiple of f is a
 positive multiple of f's partial, and the primitive integer polynomial
-that is a positive multiple of a given one is unique, so this is the
-ideal, and exactly the kernel input, that the Poly generators give: the
-same pairs, normal forms, work and answering engine.  Only the colength
-is read there, so a `StandardBasis` keeps its elements and makes its
-minimal monic `basis` and its `leading_exponents` on first read.
+that is a positive multiple of a given one is unique, so each is the
+kernel input that its Poly generator gives.  Only the colength is read
+there, so a `StandardBasis` keeps its elements and makes its minimal
+monic `basis` and its `leading_exponents` on first read.
+
+tau enters f as its Euler remainder f_E = L*f - sum w_i x_i df/dx_i
+where that is safe.  Let w be f's Fermat weights and L the degree of its
+least pure powers.  f_E lies in (f) + J, and f = (f_E + sum w_i x_i
+df/dx_i) / L, so (f) + J = (f_E) + J: the same ideal and colength.  Every
+term of degree L cancels in f_E, so the kernel does not reduce f back
+into J by S-pairs.  A quasi-homogeneous f (every term of degree L) has
+f_E = 0 by Euler's identity, and then tau's input is mu's (tau = mu,
+K. Saito, Invent. Math. 14, 1971).  Otherwise f_E stands in for f only
+when the terms of degree L are f's pure powers and every other term lies
+above L: then each partial leads with its pure power from the start, so
+the corner is known before the first S-pair.  Where a term lies below L,
+or a mixed term at L makes a partial lead with a mixed monomial, the
+kernel works long before its corner; f's own low terms are what bring it
+there, while f_E, all of whose terms lie above L, can send it past its
+work limit.
 """
 
 from __future__ import annotations
@@ -344,6 +359,8 @@ def _staircase(leads, nvars, weights=None):
         return 0, -1
     if not leads:
         return (None, None) if nvars else (1, 0)
+    if nvars == 2:
+        return _plane_staircase(leads, (1, 1) if weights is None else weights)
     w, rest = (1, None) if weights is None else (weights[0], weights[1:])
     count, top = 0, -1
     cuts = sorted({0, *(e[0] for e in leads)})
@@ -355,6 +372,27 @@ def _staircase(leads, nvars, weights=None):
             count += (b - a) * sub
             top = max(top, (b - 1) * w + sub_top)
     return count, top
+
+
+def _plane_staircase(leads, weights):
+    """`_staircase` in two variables, for nonempty leads none (0, 0):
+    sweep the first exponent, keeping the least second exponent b of the
+    leads passed so far; the slab [a, a') below the next lead adds
+    (a' - a) * b monomials, the highest of them x^(a'-1) y^(b-1)."""
+    w0, w1 = weights
+    count, top = 0, -1
+    cut, least = 0, None        # least is None until a lead is passed
+    for a, b in sorted(leads):
+        if a > cut:
+            if least is None:
+                return None, None
+            if least:
+                count += (a - cut) * least
+                top = max(top, (a - 1) * w0 + (least - 1) * w1)
+            cut = a
+        if least is None or b < least:
+            least = b
+    return (count, top) if least == 0 else (None, None)
 
 
 # -- ideals and standard bases -------------------------------------------------
@@ -617,12 +655,11 @@ def _fermat_weights(f: Poly):
     return tuple(lcm // least[i] for i in range(len(f.vars)))
 
 
-def _engines(f: Poly):
+def _engines(weights):
     """The weights of the engines that `_germ_basis` alternates, in
-    turn: f's Fermat weights, when f has a pure power of every variable
+    turn: a germ's Fermat weights (`_fermat_weights`), when it has them
     and they are not all equal, then unit weights (None)."""
-    w = _fermat_weights(f)
-    return (None,) if w is None or len(set(w)) == 1 else (w, None)
+    return (None,) if weights is None or len(set(weights)) == 1 else (weights, None)
 
 
 def _germ_basis(ideal: LocalIdeal, engines):
@@ -653,15 +690,36 @@ def _germ_basis(ideal: LocalIdeal, engines):
         given *= 2
 
 
-def _germ_generators(f: Poly, with_f):
-    """The generators of the Jacobian ideal of f, with f first when
-    `with_f`, as primitive integer polynomials keyed by exponent tuples:
-    f's primitive multiple (`_primitive`), then its nonzero partials
-    d/dx_1, ..., d/dx_n, each divided by its content.  A partial of a
-    positive multiple of f is a positive multiple of f's partial, so each
-    is `_primitive` of the Poly generator it stands for."""
+def _germ_generators(f: Poly, with_f, weights):
+    """The generators of the Jacobian ideal of f, with f or its Euler
+    remainder first when `with_f`, as primitive integer polynomials keyed
+    by exponent tuples; `weights` are f's Fermat weights or None.
+
+    The partials are f's nonzero partials d/dx_1, ..., d/dx_n, each
+    divided by its content: a partial of a positive multiple of f is a
+    positive multiple of f's partial, so each is `_primitive` of the Poly
+    generator it stands for.  In place of f comes the primitive multiple
+    of the Euler remainder
+
+        f_E = L*f - sum w_i x_i df/dx_i = sum_e (L - <w, e>) c_e x^e
+
+    (w the weights, L the degree of f's least pure powers) when f_E is
+    zero, which leaves it out, or when the terms of degree L are pure
+    powers and every other term lies above L; else f's own primitive
+    multiple (`_primitive`).  (f) + J = (f_E) + J: see the module
+    docstring, also for the guard."""
     g = _primitive(f.terms)
     gens = [g] if with_f else []
+    if with_f and weights is not None:
+        degree = {e: sum(map(operator.mul, weights, e)) for e in g}
+        n = len(f.vars)
+        level = min(d for e, d in degree.items() if e.count(0) == n - 1)  # L
+        r = {e: (level - degree[e]) * c for e, c in g.items() if degree[e] != level}
+        if not r:
+            gens = []       # f is quasi-homogeneous, so in J
+        elif all(d > level or e.count(0) == n - 1 for e, d in degree.items()):
+            k = math.gcd(*r.values())
+            gens = [{e: c // k for e, c in r.items()}]
     for i in range(len(f.vars)):
         d = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
         if d:
@@ -671,21 +729,23 @@ def _germ_generators(f: Poly, with_f):
 
 
 def _germ_colength(f: Poly, name, with_f):
-    """Colength of the ideal of `_germ_generators(f, with_f)`: 0 when one
-    of them is a unit, INFINITE when they all vanish on a coordinate
+    """Colength of the ideal of `_germ_generators(f, with_f, ...)`: 0 when
+    one of them is a unit, INFINITE when they all vanish on a coordinate
     axis, else counted on the standard basis of the first of f's engines
-    to finish (`_germ_basis`)."""
+    to finish (`_germ_basis`).  f's Fermat weights are found once, for the
+    generators and the engines."""
     if f.is_zero():
         raise ValueError(f"{name} of the zero polynomial is undefined")
     origin = (0,) * len(f.vars)
     if origin in f.terms:
         raise ValueError("germ must vanish at the origin")
-    gens = _germ_generators(f, with_f)
+    weights = _fermat_weights(f)
+    gens = _germ_generators(f, with_f, weights)
     if any(origin in g for g in gens):
         return 0  # unit partial derivative: smooth point
     if _misses_an_axis(gens, len(f.vars)):
         return INFINITE
-    return quotient_dim(_germ_basis(LocalIdeal._of(f.vars, gens), _engines(f))[0])
+    return quotient_dim(_germ_basis(LocalIdeal._of(f.vars, gens), _engines(weights))[0])
 
 
 def milnor_number(f: Poly):

@@ -468,6 +468,42 @@ def test_staircase_count_and_corner_match_box_enumeration(nvars, all_pure_powers
             assert count == INFINITE
 
 
+def _recursive_staircase(leads, nvars, weights=None):
+    """`_staircase` recursing down to zero variables, as it did before its
+    two-variable sweep: the reference for the sweep."""
+    if any(not any(e) for e in leads):
+        return 0, -1
+    if not leads:
+        return (None, None) if nvars else (1, 0)
+    w, rest = (1, None) if weights is None else (weights[0], weights[1:])
+    count, top = 0, -1
+    cuts = sorted({0, *(e[0] for e in leads)})
+    for a, b in zip(cuts, cuts[1:] + [None]):
+        sub, sub_top = _recursive_staircase([e[1:] for e in leads if e[0] <= a], nvars - 1, rest)
+        if sub is None or (b is None and sub):
+            return None, None
+        if sub:
+            count += (b - a) * sub
+            top = max(top, (b - 1) * w + sub_top)
+    return count, top
+
+
+def test_staircase_sweep_matches_the_recursion():
+    rng = random.Random(2102)
+    kinds = set()
+    for _ in range(20000):
+        n = rng.randint(1, 5)
+        leads = [tuple(rng.randint(1, 7) if j == i else 0 for j in range(n))
+                 for i in range(n) if rng.random() < 0.9]
+        leads += [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(leads)
+        weights = None if rng.random() < 0.5 else _random_weights(n, rng)
+        got = _staircase(leads, n, weights)
+        assert got == _recursive_staircase(leads, n, weights), (leads, weights)
+        kinds.add((n, got[0] is None))
+    assert kinds == {(n, infinite) for n in range(1, 6) for infinite in (True, False)}
+
+
 @pytest.mark.parametrize("text", [t for t, _ in TAU_TABLE] + [
     PINNED_GERM, "x^2 + y^2", "x^2 * y^2", "x^3 + y^2*z + w^2"])
 @pytest.mark.parametrize("with_f", [True, False])
@@ -888,7 +924,7 @@ UNIT_ENGINE_GERM = "3/7*z^6 + 1/7*x^3*y*z + x^4 - 3/7*x*y*z^2 + 2/7*y^4 + x^2*z"
 def test_cliff_germs_answer_with_fermat_weights(vars, text, mu):
     f = parse_polynomial(text, vars)
     ideal = jacobian_ideal(f)
-    sb, attempts = _germ_basis(ideal, _engines(f))
+    sb, attempts = _germ_basis(ideal, _engines(_fermat_weights(f)))
     assert sb.weights == _fermat_weights(f) and attempts == 1
     assert milnor_number(f) == quotient_dim(sb) == mu
     assert stabilized_oracle_dim(ideal)[0] == mu
@@ -903,7 +939,7 @@ def test_milnor_number_of_the_115_germ(monkeypatch):
     # 2 s, so not here either).  milnor_number is quotient_dim of this basis,
     # reached by the same engine, attempts and work.
     f = P(GERM_115)
-    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
     assert (quotient_dim(sb), sb.weights) == (115, (6, 5, 10, 6))
     assert attempts > 2  # the unit engine had its turns first
     assert _germ_route(monkeypatch, f, False) == (115, _run_record(sb, attempts))
@@ -913,17 +949,17 @@ def test_milnor_number_of_the_115_germ(monkeypatch):
 def test_germ_that_fermat_weights_miss_is_answered_by_the_unit_engine():
     xyz = ("x", "y", "z")
     f = parse_polynomial(UNIT_ENGINE_GERM, xyz)
-    assert _engines(f) == ((3, 3, 2), None)
-    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+    assert _engines(_fermat_weights(f)) == ((3, 3, 2), None)
+    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
     assert (quotient_dim(sb), sb.weights, attempts) == (21, (1, 1, 1), 2)
     assert sb.work < FIRST_ATTEMPT_WORK
     assert milnor_number(f) == 21
 
 
 def test_engines_need_a_pure_power_of_every_variable_and_unequal_weights():
-    assert _engines(P("x^2 + y^3 + z^4 + w^5")) == ((30, 20, 15, 12), None)
-    assert _engines(P("x^3 + y^3 + z^3 + w^3 + x*y*z*w")) == (None,)  # all weights equal
-    assert _engines(P("x^2*y + y^3 + z^2 + w^2")) == (None,)  # no pure power of x
+    assert _engines(_fermat_weights(P("x^2 + y^3 + z^4 + w^5"))) == ((30, 20, 15, 12), None)
+    assert _engines(_fermat_weights(P("x^3 + y^3 + z^3 + w^3 + x*y*z*w"))) == (None,)  # all weights equal
+    assert _engines(_fermat_weights(P("x^2*y + y^3 + z^2 + w^2"))) == (None,)  # no pure power of x
     # the least pure power of a variable counts
     assert _fermat_weights(P("x^2 + x^5 + y^3 + z^2 + w^2")) == (3, 2, 3, 3)
 
@@ -989,7 +1025,7 @@ def test_weights_are_checked():
 def test_repeated_call_is_answered_by_the_same_engine_with_the_same_counts():
     def record(text, vars):
         f = parse_polynomial(text, vars)
-        sb, attempts = _germ_basis(jacobian_ideal(f), _engines(f))
+        sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
         return (sb.weights, attempts, sb.work, _basis_record(sb))
     for vars, text, _ in CLIFF_GERMS + [(("x", "y", "z"), UNIT_ENGINE_GERM, 21)]:
         assert record(text, vars) == record(text, vars)
@@ -1056,6 +1092,53 @@ def _poly_generators(f, with_f):
     return [g for g in gens if not g.is_zero()]
 
 
+def _fermat_degrees(f):
+    """(w, degrees, L): f's Fermat weights w, <w, e> of each term x^e of f,
+    and L the lcm of the exponents a_i of its least pure powers x_i^a_i;
+    None when f has no Fermat weights."""
+    w = _fermat_weights(f)
+    if w is None:
+        return None
+    n = len(f.vars)
+    L = math.lcm(*(min(e[i] for e in f.terms if e[i] and e.count(0) == n - 1)
+                   for i in range(n)))
+    return w, {e: sum(a * b for a, b in zip(w, e)) for e in f.terms}, L
+
+
+def _euler_remainder(f):
+    """L*f - sum w_i x_i df/dx_i as a Poly, for f's Fermat weights w; None
+    unless f is semi-quasi-homogeneous (no term of degree below L)."""
+    fermat = _fermat_degrees(f)
+    if fermat is None:
+        return None
+    w, degrees, L = fermat
+    if min(degrees.values()) < L:
+        return None
+    n = len(f.vars)
+    r = f * L
+    for i, v in enumerate(f.vars):
+        x_i = Poly(f.vars, {tuple(int(j == i) for j in range(n)): w[i]})
+        r = r - x_i * f.differentiate(v)
+    return r
+
+
+def _kernel_generators(f, with_f):
+    """The Poly generators that tau's and mu's kernel input stands for:
+    those of `_poly_generators`, with f's Euler remainder in place of f
+    where it is zero (then left out), or where f is semi-quasi-homogeneous
+    and only its pure powers have degree L."""
+    r = _euler_remainder(f) if with_f else None
+    if r is None:
+        return _poly_generators(f, with_f)
+    if r.is_zero():
+        return _poly_generators(f, False)
+    _, degrees, L = _fermat_degrees(f)
+    n = len(f.vars)
+    if any(d == L and e.count(0) < n - 1 for e, d in degrees.items()):
+        return _poly_generators(f, True)
+    return [r] + _poly_generators(f, False)
+
+
 def _rational_germs():
     """Seeded germs in x, y, z, w with rational coefficients: a pure power
     of most variables and two or three mixed terms; some leave a variable
@@ -1084,13 +1167,15 @@ def test_germ_generators_are_the_primitive_poly_generators():
     kinds = set()
     for f in _rational_germs():
         for with_f in (True, False):
-            gens = _germ_generators(f, with_f)
-            assert gens == [_primitive(g.terms) for g in _poly_generators(f, with_f)], f
+            gens = _germ_generators(f, with_f, _fermat_weights(f))
+            assert gens == [_primitive(g.terms) for g in _kernel_generators(f, with_f)], f
             assert all(type(c) is int for g in gens for c in g.values())
         n = len(f.vars)
         kinds.add("missing" if any(all(e[i] == 0 for e in f.terms) for i in range(n))
-                  else "linear" if any(sum(e) == 1 for e in f.terms) else "other")
-    assert kinds == {"missing", "linear", "other"}
+                  else "linear" if any(sum(e) == 1 for e in f.terms)
+                  else "euler" if _kernel_generators(f, True) != _poly_generators(f, True)
+                  else "other")
+    assert kinds == {"missing", "linear", "euler", "other"}
 
 
 def _run_record(sb, attempts):
@@ -1116,15 +1201,14 @@ def _germ_route(monkeypatch, f, with_f):
     return value, (runs[0] if runs else None)
 
 
-def _poly_route(f, with_f):
-    """The same from the Poly generators, with the early answers checked
-    by brute force."""
-    gens = _poly_generators(f, with_f)
+def _poly_route(f, gens):
+    """The same from the Poly generators `gens`, with the early answers
+    checked by brute force."""
     if any(g.constant_term() for g in gens):
         return 0, None
     if _vanishes_on_an_axis(gens, f.vars):
         return INFINITE, None
-    sb, attempts = _germ_basis(LocalIdeal(f.vars, gens), _engines(f))
+    sb, attempts = _germ_basis(LocalIdeal(f.vars, gens), _engines(_fermat_weights(f)))
     return quotient_dim(sb), _run_record(sb, attempts)
 
 
@@ -1137,16 +1221,23 @@ README_GERMS = [(vars, text, True) for vars, text, _ in CLIFF_GERMS] + [
 
 
 def test_tau_and_mu_match_the_poly_route_in_engine_attempts_and_work(monkeypatch):
-    answered = 0
+    # the run is that of the kernel input's Poly generators; tau is also
+    # the colength of (f) + J, an independent route where f's Euler
+    # remainder stands in for f
+    answered = euler = 0
     for f in _rational_germs():
         for with_f in (True, False):
             got = _germ_route(monkeypatch, f, with_f)
-            assert got == _poly_route(f, with_f), (f, with_f)
+            assert got == _poly_route(f, _kernel_generators(f, with_f)), (f, with_f)
+            assert got[0] == _poly_route(f, _poly_generators(f, with_f))[0], (f, with_f)
             answered += got[1] is not None
-    assert answered > 20
+        euler += _kernel_generators(f, True) != _poly_generators(f, True)
+    assert answered > 20 and euler >= 5
     for ambient, text, with_f in README_GERMS:
         f = parse_polynomial(text, ambient)
-        assert _germ_route(monkeypatch, f, with_f) == _poly_route(f, with_f), text
+        got = _germ_route(monkeypatch, f, with_f)
+        assert got == _poly_route(f, _kernel_generators(f, with_f)), text
+        assert got[0] == _poly_route(f, _poly_generators(f, with_f))[0], text
 
 
 @pytest.mark.parametrize("number,name", [(tjurina_number, "Tjurina number"),
@@ -1186,13 +1277,124 @@ def test_tau_and_mu_build_no_basis(monkeypatch):
 def test_ideal_built_from_integers_has_generators_and_a_repr():
     xyz = ("x", "y", "z")
     f = parse_polynomial("1/2*x^3 + 2/3*y^2 - z^2 + x*y*z", xyz)
-    ideal = LocalIdeal._of(xyz, _germ_generators(f, True))
-    assert repr(ideal) == ("LocalIdeal(('x', 'y', 'z'), [3*x^3 + 6*x*y*z + 4*y^2 - 6*z^2, "
-                           "3*x^2 + 2*y*z, 3*x*z + 4*y, x*y - 2*z])")
-    poly_ideal = LocalIdeal(xyz, _poly_generators(f, True))
+    ideal = LocalIdeal._of(xyz, _germ_generators(f, True, _fermat_weights(f)))
+    # f is semi-quasi-homogeneous (weights (2, 3, 3), x*y*z of degree 8 > 6),
+    # so its Euler remainder -12*x*y*z stands in for it
+    assert repr(ideal) == "LocalIdeal(('x', 'y', 'z'), [-x*y*z, 3*x^2 + 2*y*z, 3*x*z + 4*y, x*y - 2*z])"
+    poly_ideal = LocalIdeal(xyz, _kernel_generators(f, True))
     assert [_primitive(g.terms) for g in ideal.generators] == \
         [_primitive(g.terms) for g in poly_ideal.generators]
     # the same kernel input, so the same basis; a Poly ideal converts its
     # generators once
     assert _basis_record(standard_basis(ideal)) == _basis_record(standard_basis(poly_ideal))
     assert poly_ideal._primitives is poly_ideal._primitives
+    # the same ideal as (f) + J, so the same leads and colength
+    with_f = standard_basis(LocalIdeal(xyz, _poly_generators(f, True)))
+    assert standard_basis(ideal).leading_exponents == with_f.leading_exponents
+    assert quotient_dim(standard_basis(ideal)) == quotient_dim(with_f) == tjurina_number(f)
+
+
+# ---------------------------------------------------------------- the Euler remainder
+
+
+def _semi_quasi_homogeneous_germs(rng, count):
+    """Seeded germs in 2-4 variables: pure powers x_i^a_i (a_i in 2..6)
+    and one to four mixed terms of degree at least L = lcm(a_i) under the
+    Fermat weights L/a_i, about a third of them of degree exactly L, with
+    rational coefficients."""
+    germs = []
+    while len(germs) < count:
+        n = rng.randint(2, 4)
+        a = [rng.randint(2, 6) for _ in range(n)]
+        L = math.lcm(*a)
+        w = [L // x for x in a]
+        terms = {tuple(a[i] if j == i else 0 for j in range(n)): rng.choice(RATIONALS)
+                 for i in range(n)}
+        for _ in range(rng.randint(1, 4)):
+            on_l = rng.random() < 1 / 3
+            for _ in range(100):
+                e = tuple(rng.randint(0, x) for x in a)
+                d = sum(map(math.prod, zip(w, e)))
+                if sum(map(bool, e)) > 1 and (d == L if on_l else d > L):
+                    terms[e] = rng.choice(RATIONALS)
+                    break
+        germs.append(Poly(XYZW[:n], terms))
+    return germs
+
+
+def test_euler_remainder_generates_the_same_ideal_with_the_jacobian():
+    # (f) + J = (f_E) + J: each of f and f_E reduces to zero modulo a
+    # standard basis of the other ideal, and under the same weights both
+    # have the same leads.  A few germs (4 of these 240) have a principal
+    # part whose partials do not lead with pure powers, and a basis in the
+    # Fermat weights alone then runs long before its corner; each basis
+    # gets 200 000 units of work, and a direction whose basis ran out is
+    # not checked.
+    def basis(gens, w):
+        try:
+            return standard_basis(LocalIdeal(f.vars, gens), weights=w, work=_Work(200_000))
+        except LocalWorkLimitError:
+            return None
+    kinds, both = set(), 0
+    for f in _semi_quasi_homogeneous_germs(random.Random(2101), 240):
+        r = _euler_remainder(f)
+        assert r is not None, f
+        w = _fermat_weights(f)
+        assert _germ_generators(f, True, w) == \
+            [_primitive(g.terms) for g in _kernel_generators(f, True)], f
+        jacobian = _poly_generators(f, False)
+        with_f = basis([f] + jacobian, w)
+        euler = basis([g for g in [r] + jacobian if not g.is_zero()], w)
+        if euler:
+            assert _normal_form(f.terms, euler) == {}, f
+        if with_f and not r.is_zero():
+            assert _normal_form(r.terms, with_f) == {}, f
+        if with_f and euler:
+            assert euler.leading_exponents == with_f.leading_exponents, f
+            both += 1
+            kinds.add((len(f.vars), "zero" if r.is_zero()
+                       else "kept" if _kernel_generators(f, True)[0] == f else "entered"))
+    assert both >= 230
+    assert kinds == {(n, k) for n in (2, 3, 4) for k in ("zero", "kept", "entered")}
+
+
+# (vars, germ, exponents a_i of its pure powers): quasi-homogeneous in
+# the Fermat weights, isolated, so tau = mu = prod(a_i - 1) (Milnor-Orlik)
+QUASI_HOMOGENEOUS_GERMS = [
+    (("x", "y", "z"), "x^2 + y^3 + z^5", (2, 3, 5)),
+    (XYZW, "x^2 + y^3 + z^4 + w^5", (2, 3, 4, 5)),
+    (XYZW, "2/3*x^7 - y^2 + 5*z^3 + 1/7*w^11", (7, 2, 3, 11)),
+    (("x", "y"), "x^4 + y^4 + x^2*y^2", (4, 4)),
+    (("x", "y", "z"), "x^3 + y^3 + z^3 + x*y*z", (3, 3, 3)),
+    (("x", "y", "z"), "x^2 + y^3 + z^6 + y*z^4", (2, 3, 6)),
+    (XYZW, "x^2 + y^2 + z^2 + w^2 + x*y", (2, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("vars,text,exponents", QUASI_HOMOGENEOUS_GERMS)
+def test_quasi_homogeneous_tau_builds_the_generators_of_mu(vars, text, exponents):
+    f = parse_polynomial(text, vars)
+    w = _fermat_weights(f)
+    assert _germ_generators(f, True, w) == _germ_generators(f, False, w)
+    assert tjurina_number(f) == milnor_number(f) == math.prod(a - 1 for a in exponents)
+
+
+# f keeps its place: a term lies below the degree L of the pure powers,
+# y^2*z (3 < 4) and y^3*z (12 < 15), or a mixed term has degree L, y*z^2*w
+# (6).  With the Euler remainder in place of f, each ended in
+# LocalWorkLimitError after 2-3 s.
+GUARDED_GERMS = [
+    (("x", "y", "z"),
+     "-3/7*x*y^3*z^2 - x^4 + 3*x^3*z - 1/7*x*z^3 - 3/7*y^4 + z^4 - 1/7*y^2*z", 15),
+    (("x", "y", "z"), "5/7*x^2*y^3*z - 1/7*x^3*y^2 - 1/7*y^5 + z^5 + 2*y^3*z + 1/3*x^3", 22),
+    (XYZW, "-3*x^2*y*z^5 - x^2*z^2*w^3 - 1/7*x^2*z*w^3 - 1/2*z^6 + 2/3*y*z^2*w - y^3"
+           " - 1/7*w^3 + 5/7*x^2", 20),
+]
+
+
+@pytest.mark.parametrize("vars,text,tau", GUARDED_GERMS)
+def test_germ_with_a_term_below_or_mixed_at_its_pure_powers_keeps_f(monkeypatch, vars, text, tau):
+    f = parse_polynomial(text, vars)
+    assert _germ_generators(f, True, _fermat_weights(f))[0] == _primitive(f.terms)
+    value, (weights, attempts, work, counts) = _germ_route(monkeypatch, f, True)
+    assert (value, attempts) == (tau, 1)
