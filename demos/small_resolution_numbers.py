@@ -38,4 +38,9 @@ for data in GERMS:
 # The deformed example is the interesting one: tau drops from 16 to 15
 # while delta, r, b are unchanged, so a = 2b + r - tau becomes 1.  That
 # matches the disappearance of the quasi-homogeneous structure: a = 0
-# exactly when the suspension carries weights.
+# exactly when the suspension carries weights in some coordinates.
+#
+# tau and mu are those of g: x^2 + y^2 adds nothing to either.  The
+# relations delta = b + r, tau = 2b - a + r and tau = b11 + b21 + ell21
+# hold by the definitions of b, a, b11, b21 and ell21, so they are not
+# among the checks; every check printed above can fail.

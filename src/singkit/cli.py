@@ -4,7 +4,7 @@ Every subcommand prints a single JSON report to stdout:
 
     {"command": ..., "inputs": ..., "results": ..., "checks": [...], "warnings": [...]}
 
-Exit status: 0 = computed and all hard checks passed, 1 = a consistency
+Exit status: 0 = computed and all checks passed, 1 = a consistency
 check failed, 2 = bad input (parse error, malformed config, missing file)
 or an input whose work would pass a limit (PARSE_WORK_LIMIT,
 ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT), with a one-line

@@ -1,11 +1,16 @@
 """Invariants of threefold germs x^2 + y^2 + g(z,w) with small resolutions.
 
-The germ is the double suspension of a reduced plane curve g.  Its small
+The germ f is the double suspension of a reduced plane curve g.  Its small
 resolution data is governed by plane-curve numbers: delta of g, the
 number of exceptional curves r, and the Tjurina number of the threefold.
 From those, b = delta - r counts independent exceptional cohomology
 classes and a = 2b + r - tau measures the failure of the singularity to
 admit a good torus action (a = 0 exactly for a quasi-homogeneous germ).
+
+Every number is computed on g: df/dx = 2x, df/dy = 2y and f = g mod
+(x, y) give (f, df) = (x, y, g, dg), so O_4/(f, df) = O_2/(g, dg) and
+tau(f) = tau(g); likewise mu(f) = mu(g).  f is quasi-homogeneous iff g
+is, with x and y at half the degree.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ class SuspendedCurveGerm:
         g = self.g
         if len(g.vars) != 2:
             raise ConfigError("g must live in exactly two variables")
+        if set(g.vars) & {"x", "y"}:
+            raise ConfigError("g may not use the suspension variables x, y")
         if g.is_zero():
             raise ConfigError("g must be nonzero")
         if g.constant_term():
@@ -67,6 +74,8 @@ class SuspendedCurveGerm:
                     f"a1_times({self.n}) requires g = {u}^2 + {v}^{2 * self.n}, got {g}"
                 )
         elif fam is Family.CUSTOM:
+            if self.n is not None:
+                raise ConfigError("custom germs take branches and r_override, not n")
             if self.branches is None or self.branches < 1:
                 raise ConfigError("custom germs need an explicit positive branch count")
         else:  # pragma: no cover
@@ -125,10 +134,11 @@ def exceptional_curve_count(s: SuspendedCurveGerm) -> int:
 class SmallResInvariants:
     """Numeric package of the small resolution.
 
-    b11, b21 and ell21 are the graded pieces of tau:
-    tau = b11 + b21 + ell21 with b11 = b, b21 = b - a, ell21 = r.  The
-    local cohomology of middle-degree forms along the exceptional curves
-    has dimension b + r (= b11 + ell21); the toolkit places that group in
+    tau and mu are the threefold's, equal to g's.  b11, b21 and ell21
+    are the graded pieces of tau: tau = b11 + b21 + ell21 with b11 = b,
+    b21 = b - a, ell21 = r, all three by definition.  The local
+    cohomology of middle-degree forms along the exceptional curves has
+    dimension b + r (= b11 + ell21); the toolkit places that group in
     cohomological degree 2 throughout, the degree consistent with the
     decomposition of tau.  The same number is sometimes quoted with
     superscript 1; we fix one convention rather than guess intent.
@@ -153,8 +163,6 @@ class SmallResInvariants:
 
 def suspension(s: SuspendedCurveGerm) -> Poly:
     """The threefold germ x^2 + y^2 + g as a 4-variable polynomial."""
-    if set(s.g.vars) & {"x", "y"}:
-        raise ConfigError("g may not use the suspension variables x, y")
     amb = ("x", "y") + s.g.vars
     return (
         Poly.var(amb, "x") ** 2
@@ -166,15 +174,18 @@ def suspension(s: SuspendedCurveGerm) -> Poly:
 def small_res_report(s: SuspendedCurveGerm):
     """Compute the invariant package plus its named consistency checks.
 
-    Returns (invariants, checks, warnings) without raising on violated
-    relations; each check is a dict with name/expected/actual/pass.
+    tau, mu and the weights test run on g (module docstring); mu is read
+    back from delta = (mu + branches - 1) / 2.  delta = b + r,
+    tau = 2b - a + r and tau = b11 + b21 + ell21 hold by definition, so
+    only relations that can fail are checked.  Returns (invariants,
+    checks, warnings) without raising on a failed check; each check is a
+    dict with name/expected/actual/pass.
     """
-    f = suspension(s)
-    tau = tjurina_number(f)
-    mu = milnor_number(f)
-    if tau == INFINITE or mu == INFINITE:
+    tau = tjurina_number(s.g)
+    if tau == INFINITE:
         raise ValueError("suspended germ has a non-isolated singularity")
     delta = plane_delta_invariant(s.g, s.branch_count)
+    mu = 2 * delta - s.branch_count + 1
     r = exceptional_curve_count(s)
     b = delta - r
     a = 2 * b + r - tau
@@ -193,27 +204,16 @@ def small_res_report(s: SuspendedCurveGerm):
 
     checks = []
 
-    def chk(name, expected, actual, hard=True):
+    def chk(name, expected, actual):
         checks.append(
-            {
-                "name": name,
-                "expected": expected,
-                "actual": actual,
-                "pass": expected == actual,
-                "hard": hard,
-            }
+            {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
         )
 
-    chk("b == delta - r", inv.b, delta - r)
     chk("b >= 0", True, b >= 0)
     chk("a >= 0", True, a >= 0)
     chk("a <= b", True, a <= b)
-    chk("tau == 2*b - a + r", tau, 2 * b - a + r)
     chk("b + r <= tau <= 2*b + r", True, b + r <= tau <= 2 * b + r)
     chk("tau <= mu", True, tau <= mu)
-    chk("tau == b11 + b21 + ell21", tau, inv.b11 + inv.b21 + inv.ell21)
-    chk("b21 == b - a", inv.b21, b - a)
-    chk("ell21 == r", inv.ell21, r)
     if inv.is_odp:
         chk("odp forces tau == r == delta == 1", (1, 1, 1), (tau, r, delta))
     if s.family is Family.DISTINCT_LINES:
@@ -224,9 +224,7 @@ def small_res_report(s: SuspendedCurveGerm):
         chk("tau == 2*n - 1", tau, 2 * s.n - 1)
 
     warnings = []
-    weights = quasi_homogeneous_weights(f)
-    chk("weights exist iff a == 0", a == 0, weights is not None, hard=False)
-    if (weights is not None) != (a == 0):
+    if (quasi_homogeneous_weights(s.g) is not None) != (a == 0):
         warnings.append(
             "quasi-homogeneity detector disagrees with a == 0; the detector is "
             "coordinate-sensitive, so this can be a coordinate artifact"
@@ -235,11 +233,11 @@ def small_res_report(s: SuspendedCurveGerm):
 
 
 def small_res_invariants(s: SuspendedCurveGerm) -> SmallResInvariants:
-    """The invariant package; raises ConsistencyError if any relation
-    that must hold between tau, delta, r, b, a is violated."""
+    """The invariant package; raises ConsistencyError on the first
+    relation of small_res_report that fails."""
     inv, checks, _ = small_res_report(s)
     for c in checks:
-        if c["hard"] and not c["pass"]:
+        if not c["pass"]:
             raise ConsistencyError(
                 c["name"], f"expected {c['expected']}, got {c['actual']}"
             )

@@ -81,8 +81,9 @@ def test_smallres_report(tmp_path, capsys):
     res = report["results"]
     assert (res["r"], res["delta"], res["b"], res["a"]) == (4, 10, 6, 0)
     assert all(c["pass"] for c in report["checks"])
-    names = {c["name"] for c in report["checks"]}
-    assert "tau == 2*b - a + r" in names
+    assert [c["name"] for c in report["checks"]] == [
+        "b >= 0", "a >= 0", "a <= b", "b + r <= tau <= 2*b + r", "tau <= mu",
+        "delta == n*(n-1)/2", "tau == (n-1)^2"]
 
 
 def test_smallres_inconsistent_germ_exits_1(tmp_path, capsys):
@@ -94,6 +95,17 @@ def test_smallres_inconsistent_germ_exits_1(tmp_path, capsys):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed
+
+
+def test_smallres_custom_germ_with_n_exits_2(tmp_path, capsys):
+    # n would be echoed in the inputs and ignored: the report counts branches
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps(
+        {"g": "z^5 - w^5", "family": "custom", "n": 3, "branches": 5, "r_override": 4}))
+    assert main(["smallres", str(germ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: custom germs take branches and r_override, not n\n"
 
 
 def test_smallres_missing_file_exits_2(capsys):

@@ -2,9 +2,10 @@
 
 Each case is one argv; its exit code, stdout, stderr and (for --dot) the
 DOT file are hashed together and compared with a recorded digest, so a
-change that alters any byte of any report shows up here.  Input files use
-fixed relative names inside a scratch working directory, so the paths that
-reports echo back are the same on every run.  Should a report change on
+change that alters any byte of any report shows up here.  Every report a
+case prints is also validated against docs/report.schema.json.  Input
+files use fixed relative names inside a scratch working directory, so the
+paths that reports echo back are the same on every run.  Should a report change on
 purpose, record the new digest printed in the failure message.
 """
 
@@ -27,6 +28,10 @@ from singkit.corpus import (
     UNCLASSIFIED_PAIR,
 )
 
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
+)
+
 CONFIGS = {
     "cubic-cone": CUBIC_CONE_LINK,
     "type-ii-point": TYPE_II_POINT,
@@ -45,6 +50,9 @@ GERMS = {
     "inconsistent": {"g": "z^5 - w^5", "family": "custom", "branches": 3, "r_override": 4},
     # mu + branches - 1 is odd: ConsistencyError (exit 1)
     "parity": {"g": "z^5 - w^5", "family": "custom", "branches": 4, "r_override": 4},
+    # an A3 curve plus a higher term: every check passes, the weights
+    # detector warns (exit 0)
+    "a3": {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2, "r_override": 1},
 }
 
 # corpus entries beyond the bundled ones, all without expectations
@@ -142,10 +150,11 @@ DIGESTS = {
     "milnor": "c0605090c22134123d72caf4a67b1fcd6a57cffd1b607987ccc6f67b3c0bcbc4",  # exit 0
     "milnor-non-isolated": "0152be086bcefed025a8038ade61e8ebc1e1d286863bbb49e5fe92fb0dbc8400",  # exit 0
     "milnor-vars": "6103998fb2ea9570f53511fe0e6920648a5c040eacc724f3988db4dbdea257e7",  # exit 0
-    "smallres-a1": "df836dd3ee5686a632058b5fd767fca14a21b992ccd992ff24f24319aa3aa52d",  # exit 0
-    "smallres-custom": "c5c1ce55e6ee56084bad4207152ba4bef575d8f1bd3449ed54f8c5e5fe70a2fe",  # exit 0
-    "smallres-inconsistent": "809600b3170ccc3de88c527a841774d94fafce2906169cb8b187e55d76493cb6",  # exit 1
-    "smallres-lines": "1f323b4073ff8b2e4ddd4a3fe87576a4622ca4fa8bf637c18eedeceb79a5399b",  # exit 0
+    "smallres-a1": "48b9f690e337f2d28074f919e1b27269bf2e9a255a27459b1f0297f0307044cf",  # exit 0
+    "smallres-a3": "772796cab0ddc455a9ad1f6e160938d0d674efb578896a52b9f2ccaa6ae5b71b",  # exit 0
+    "smallres-custom": "ed38126cabbb6eb33c242550eadbe1b32a0f17c40b32ffbfebacd093355582c0",  # exit 0
+    "smallres-inconsistent": "c778fed34b2ceb3dc504b713591950b535f1af5cb5ba538fbdb744bc6f5d07a4",  # exit 1
+    "smallres-lines": "4b3741c17890e934885ebbee2d3df27d438d901cffe16de72122add758d121fb",  # exit 0
     "smallres-missing-file": "aa74bf3c37ba085d8998e69f505f3eb8cfe5eb699cd3d38dd64f43977a19dca1",  # exit 2
     "smallres-parity": "903e853e3ff000502b97761c4ac156b374ada08d499636b7f510b215758b7563",  # exit 1
     "tjurina": "4ed93a75f70a52000c2ae11ff45afaaa009ab5e5fb30585735d3b922d1a936c2",  # exit 0
@@ -196,3 +205,13 @@ def test_report_bytes_match(name, tmp_path, monkeypatch):
         f"{name}: digest {got}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}"
         + (f"--- dot\n{dot}" if dot is not None else "")
     )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_the_schema(name, tmp_path, monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    out = observe(CASES[name])[1]
+    if out:
+        jsonschema.validate(json.loads(out), SCHEMA)
