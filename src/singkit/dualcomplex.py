@@ -60,7 +60,6 @@ class SurfaceComponent:
     kind: Kind
     b2: int | None = None
     h01: int | None = None
-    h0q: tuple | None = None  # (q, value) pairs for ambient dimension > 3
     anticanonical: frozenset = frozenset()  # curve ids with K = -(their sum)
 
     def resolved_h01(self):
@@ -349,41 +348,22 @@ def restriction_rank_b2(config: DivisorConfiguration) -> int:
     return sum(free.values())
 
 
-def deformation_dims(config: DivisorConfiguration, ambient_dim: int = 3) -> InvariantReport:
-    """First-order deformation dimensions read off the components.
-
-    h0(T1) is the sum over components of h^{0, ambient_dim - 2}; in the
-    threefold case that is the sum of the h01 values (1 per elliptic
-    ruled component) and h1(T1) = dim T2 = r - 1.
+def deformation_dims(config: DivisorConfiguration) -> InvariantReport:
+    """First-order deformation dimensions of a threefold read off the
+    components: h0(T1) is the sum of the h01 values (1 per elliptic ruled
+    component) and h1(T1) = dim T2 = r - 1.
     """
     r = len(config.components)
     report = InvariantReport(r=r, n_double=len(config.double_curves))
-    if ambient_dim == 3:
-        vals = []
-        for c in config.components:
-            h01 = c.resolved_h01()
-            if h01 is None:
-                raise ConfigError(f"component {c.id} of kind 'other' needs h01")
-            vals.append(h01)
-        report.h0_t1 = sum(vals)
-        report.h1_t1 = r - 1
-        report.dim_t2 = r - 1
-        return report
-    # Above the threefold case both h^{0,q} rows are read from declared
-    # Hodge data: q = ambient_dim - 2 feeds h0(T1), q = ambient_dim - 3
-    # feeds h1(T1) = dim T2.
-    sums = {ambient_dim - 2: 0, ambient_dim - 3: 0}
+    vals = []
     for c in config.components:
-        table = dict(c.h0q or ())
-        for q in sums:
-            if q not in table:
-                raise ConfigError(
-                    f"component {c.id} needs h0q entry for q = {q} in ambient dimension {ambient_dim}"
-                )
-            sums[q] += table[q]
-    report.h0_t1 = sums[ambient_dim - 2]
-    report.h1_t1 = sums[ambient_dim - 3]
-    report.dim_t2 = report.h1_t1
+        h01 = c.resolved_h01()
+        if h01 is None:
+            raise ConfigError(f"component {c.id} of kind 'other' needs h01")
+        vals.append(h01)
+    report.h0_t1 = sum(vals)
+    report.h1_t1 = r - 1
+    report.dim_t2 = r - 1
     return report
 
 
@@ -778,7 +758,7 @@ def semistable_ell_check(config: DivisorConfiguration, model) -> EllCheck:
 
 # -- JSON and DOT interchange -------------------------------------------------------
 
-_COMPONENT_KEYS = {"id", "kind", "b2", "h01", "h0q", "anticanonical_boundary"}
+_COMPONENT_KEYS = {"id", "kind", "b2", "h01", "anticanonical_boundary"}
 _CURVE_KEYS = {"id", "between", "genus"}
 _TRIPLE_KEYS = {"id", "components"}
 _MARKED_KEYS = {"d0_curve", "c_curves", "pa_d"}
@@ -796,16 +776,6 @@ def _uint(v, what):
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ConfigError(f"{what} must be a nonnegative integer, got {v!r}")
     return v
-
-
-def _h0q_key(k):
-    try:
-        q = int(k)
-    except (TypeError, ValueError):
-        raise ConfigError(f"h0q keys must be integers q, got {k!r}") from None
-    if q < 0:
-        raise ConfigError(f"h0q key {k!r} is negative")
-    return q
 
 
 def _objects(d, key, what):
@@ -837,17 +807,6 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
             kind = Kind(c.get("kind", "rational"))
         except ValueError:
             raise ConfigError(f"unknown component kind {c.get('kind')!r}") from None
-        h0q = None
-        if "h0q" in c:
-            if not isinstance(c["h0q"], dict):
-                raise ConfigError("h0q must be an object mapping q to a dimension")
-            table = {}
-            for k, v in c["h0q"].items():
-                q = _h0q_key(k)
-                if q in table:
-                    raise ConfigError(f"h0q key {k!r} repeats q = {q}")
-                table[q] = _uint(v, "h0q value")
-            h0q = tuple(sorted(table.items()))
         anti = c.get("anticanonical_boundary", ())
         if not isinstance(anti, (list, tuple)):
             raise ConfigError(f"anticanonical_boundary must be a list of curve ids, got {anti!r}")
@@ -857,7 +816,6 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
                 kind=kind,
                 b2=_uint(c["b2"], "b2") if "b2" in c else None,
                 h01=_uint(c["h01"], "h01") if "h01" in c else None,
-                h0q=h0q,
                 anticanonical=frozenset(_ident(x, "anticanonical curve") for x in anti),
             )
         )

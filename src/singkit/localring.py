@@ -47,7 +47,7 @@ leads the partial in x_i from the first generator on.  No single order wins on
 every germ, so `milnor_number` and `tjurina_number` run two engines
 round-robin, those weights first and unit weights second (`_germ_basis`).
 Each attempt runs under a budget of work that doubles every round, and
-the first engine to finish gives the answer.  Work is counted in Mora
+the first attempt to finish gives the answer.  Work is counted in Mora
 reduction steps, each weighted by its size (see LOCAL_WORK_LIMIT), never
 in seconds, so the engine that answers does not depend on the host.
 `LOCAL_WORK_LIMIT` caps the work of all attempts of one number, and of
@@ -102,31 +102,21 @@ corner are those of the rational computation, and making each kept
 element monic gives its basis exactly.  The public surface accepts and
 returns Poly objects over Q.
 
-`tjurina_number` and `milnor_number` build their generators, f and its
-partials, once as primitive integer polynomials straight from f's terms
-(`_germ_generators`), and hand them to the kernel in a `LocalIdeal` made
-from those integers.  A partial of a positive rational multiple of f is a
-positive multiple of f's partial, and the primitive integer polynomial
-that is a positive multiple of a given one is unique, so each is the
-kernel input that its Poly generator gives.  Only the colength is read
-there, so a `StandardBasis` keeps its elements and makes its minimal
-monic `basis` and its `leading_exponents` on first read.
+`tjurina_number` and `milnor_number` build their generators once as
+primitive integer polynomials straight from f's terms (`_germ_colength`),
+and hand them to the kernel in `LocalIdeal`s made from those integers.  A
+partial of a positive rational multiple of f is a positive multiple of
+f's partial, and the primitive integer polynomial that is a positive
+multiple of a given one is unique, so each is the kernel input that its
+Poly generator gives.  Only the colength is read there, so a
+`StandardBasis` keeps its elements and makes its minimal monic `basis`
+and its `leading_exponents` on first read.
 
-tau enters f as its Euler remainder f_E = L*f - sum w_i x_i df/dx_i
-where that is safe.  Let w be f's Fermat weights and L the degree of its
-least pure powers.  f_E lies in (f) + J, and f = (f_E + sum w_i x_i
-df/dx_i) / L, so (f) + J = (f_E) + J: the same ideal and colength.  Every
-term of degree L cancels in f_E, so the kernel does not reduce f back
-into J by S-pairs.  A quasi-homogeneous f (every term of degree L) has
-f_E = 0 by Euler's identity, and then tau's input is mu's (tau = mu,
-K. Saito, Invent. Math. 14, 1971).  Otherwise f_E stands in for f only
-when the terms of degree L are f's pure powers and every other term lies
-above L: then each partial leads with its pure power from the start, so
-the corner is known before the first S-pair.  Where a term lies below L,
-or a mixed term at L makes a partial lead with a mixed monomial, the
-kernel works long before its corner; f's own low terms are what bring it
-there, while f_E, all of whose terms lie above L, can send it past its
-work limit.
+tau's engine with weights w tries first f's Euler remainder f_E = L*f -
+sum w_i x_i df/dx_i, L >= 1 the least degree of f's terms, then f itself,
+each with the partials J: f = (f_E + sum w_i x_i df/dx_i) / L, so
+(f) + J = (f_E) + J.  A quasi-homogeneous f for w has f_E = 0, and tau's
+input is then mu's (tau = mu, K. Saito, Invent. Math. 14, 1971).
 """
 
 from __future__ import annotations
@@ -230,6 +220,13 @@ def _primitive(terms):
     num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     k = math.gcd(*num.values())
     return {e: c // k for e, c in num.items()} if k != 1 else num
+
+
+def _content_free(terms):
+    """Integer `terms` divided by the gcd of their coefficients ({} stays
+    {})."""
+    k = math.gcd(*terms.values())
+    return {e: c // k for e, c in terms.items()} if k > 1 else terms
 
 
 def _sub_shifted(h, c, g, shift, bound=None):
@@ -426,7 +423,7 @@ class LocalIdeal:
     def _of(cls, vars: tuple, primitives: list) -> "LocalIdeal":
         """The ideal of nonzero primitive integer polynomials keyed by
         exponent tuples, none with a constant term, unchecked: only for
-        generators that `_germ_generators` built.  Its Poly `generators`
+        generators that `_germ_colength` built.  Its Poly `generators`
         are made on first read."""
         ideal = cls.__new__(cls)
         ideal.vars = vars
@@ -662,90 +659,82 @@ def _engines(weights):
     return (None,) if weights is None or len(set(weights)) == 1 else (weights, None)
 
 
-def _germ_basis(ideal: LocalIdeal, engines):
-    """(standard basis, attempts): the basis of the first engine to finish,
-    and the number of `standard_basis` calls made.
+def _germ_basis(engines, inputs):
+    """(standard basis, attempts): the basis of the first attempt to
+    finish, and the number of `standard_basis` calls made.
 
-    The engines take turns, in order; an attempt that spends its work is
-    dropped, and each round of turns doubles the work an attempt is
-    given, starting at FIRST_ATTEMPT_WORK.  A single engine gets all of
+    Each engine (see `_engines`) tries the ideals `inputs(weights)` in
+    turn; they are made when the engine's first turn comes.  The engines
+    take turns, in order; an attempt that spends its work is dropped, and
+    each round of turns doubles the work an attempt is given, starting at
+    FIRST_ATTEMPT_WORK.  A single engine with a single ideal gets all of
     LOCAL_WORK_LIMIT at once.  All attempts together spend at most
     LOCAL_WORK_LIMIT: the attempt that is given all that is left raises
     LocalWorkLimitError when it runs out.  Work is counted, not timed, so
-    the same ideal is always answered by the same engine with the same
-    counts."""
+    the same germ is always answered by the same engine and input with the
+    same counts."""
+    made = [inputs(engines[0])]     # each engine's ideals, once reached
     left = LOCAL_WORK_LIMIT
-    given = FIRST_ATTEMPT_WORK if len(engines) > 1 else left
+    given = FIRST_ATTEMPT_WORK if len(engines) > 1 or len(made[0]) > 1 else left
     attempts = 0
     while True:
-        for weights in engines:
-            n = min(given, left)
-            attempts += 1
-            try:
-                return standard_basis(ideal, weights=weights, work=_Work(n)), attempts
-            except LocalWorkLimitError:
-                if n == left:
-                    raise
-                left -= n
+        for k, weights in enumerate(engines):
+            if k == len(made):
+                made.append(inputs(weights))
+            for ideal in made[k]:
+                n = min(given, left)
+                attempts += 1
+                try:
+                    return standard_basis(ideal, weights=weights, work=_Work(n)), attempts
+                except LocalWorkLimitError:
+                    if n == left:
+                        raise
+                    left -= n
         given *= 2
 
 
-def _germ_generators(f: Poly, with_f, weights):
-    """The generators of the Jacobian ideal of f, with f or its Euler
-    remainder first when `with_f`, as primitive integer polynomials keyed
-    by exponent tuples; `weights` are f's Fermat weights or None.
-
-    The partials are f's nonzero partials d/dx_1, ..., d/dx_n, each
-    divided by its content: a partial of a positive multiple of f is a
-    positive multiple of f's partial, so each is `_primitive` of the Poly
-    generator it stands for.  In place of f comes the primitive multiple
-    of the Euler remainder
+def _euler_remainder(g, weights):
+    """f's Euler remainder for `weights` (None: unit weights), with its
+    content divided out, g being f's primitive multiple:
 
         f_E = L*f - sum w_i x_i df/dx_i = sum_e (L - <w, e>) c_e x^e
 
-    (w the weights, L the degree of f's least pure powers) when f_E is
-    zero, which leaves it out, or when the terms of degree L are pure
-    powers and every other term lies above L; else f's own primitive
-    multiple (`_primitive`).  (f) + J = (f_E) + J: see the module
-    docstring, also for the guard."""
-    g = _primitive(f.terms)
-    gens = [g] if with_f else []
-    if with_f and weights is not None:
-        degree = {e: sum(map(operator.mul, weights, e)) for e in g}
-        n = len(f.vars)
-        level = min(d for e, d in degree.items() if e.count(0) == n - 1)  # L
-        r = {e: (level - degree[e]) * c for e, c in g.items() if degree[e] != level}
-        if not r:
-            gens = []       # f is quasi-homogeneous, so in J
-        elif all(d > level or e.count(0) == n - 1 for e, d in degree.items()):
-            k = math.gcd(*r.values())
-            gens = [{e: c // k for e, c in r.items()}]
-    for i in range(len(f.vars)):
-        d = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
-        if d:
-            k = math.gcd(*d.values())
-            gens.append({e: c // k for e, c in d.items()} if k != 1 else d)
-    return gens
+    with L the least degree of f's terms; {} when f is quasi-homogeneous
+    for the weights (every term of degree L).  See the module docstring."""
+    degree = [sum(map(operator.mul, weights, e)) if weights else sum(e) for e in g]
+    level = min(degree)
+    return _content_free({e: (level - d) * c
+                          for (e, c), d in zip(g.items(), degree) if d != level})
 
 
 def _germ_colength(f: Poly, name, with_f):
-    """Colength of the ideal of `_germ_generators(f, with_f, ...)`: 0 when
-    one of them is a unit, INFINITE when they all vanish on a coordinate
-    axis, else counted on the standard basis of the first of f's engines
-    to finish (`_germ_basis`).  f's Fermat weights are found once, for the
-    generators and the engines."""
+    """Colength of the Jacobian ideal J of f (mu) or of (f) + J (tau): 0
+    when a partial is a unit, INFINITE when the partials all vanish on a
+    coordinate axis (f then does too), else counted on the standard basis
+    of the first attempt of f's engines (`_engines`) to finish
+    (`_germ_basis`).  The generators are primitive integer polynomials
+    keyed by exponent tuples: f's nonzero partials, each divided by its
+    content, and for tau first f's Euler remainder for the engine's
+    weights, then, unless that is zero, f (see the module docstring)."""
     if f.is_zero():
         raise ValueError(f"{name} of the zero polynomial is undefined")
     origin = (0,) * len(f.vars)
     if origin in f.terms:
         raise ValueError("germ must vanish at the origin")
-    weights = _fermat_weights(f)
-    gens = _germ_generators(f, with_f, weights)
-    if any(origin in g for g in gens):
+    g = _primitive(f.terms)
+    partials = [_content_free(d) for d in (
+        {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}
+        for i in range(len(f.vars))) if d]
+    if any(origin in d for d in partials):
         return 0  # unit partial derivative: smooth point
-    if _misses_an_axis(gens, len(f.vars)):
+    if _misses_an_axis(partials, len(f.vars)):
         return INFINITE
-    return quotient_dim(_germ_basis(LocalIdeal._of(f.vars, gens), _engines(weights))[0])
+
+    def inputs(weights):
+        r = _euler_remainder(g, weights) if with_f else {}
+        return [LocalIdeal._of(f.vars, [h] + partials) for h in (r, g)] if r else \
+            [LocalIdeal._of(f.vars, partials)]
+    return quotient_dim(_germ_basis(_engines(_fermat_weights(f)), inputs)[0])
 
 
 def milnor_number(f: Poly):

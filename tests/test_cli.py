@@ -82,8 +82,7 @@ def test_smallres_report(tmp_path, capsys):
     assert (res["r"], res["delta"], res["b"], res["a"]) == (4, 10, 6, 0)
     assert all(c["pass"] for c in report["checks"])
     assert [c["name"] for c in report["checks"]] == [
-        "b >= 0", "a >= 0", "a <= b", "b + r <= tau <= 2*b + r", "tau <= mu",
-        "delta == n*(n-1)/2", "tau == (n-1)^2"]
+        "b >= 0", "a >= 0", "a <= b", "tau <= mu", "delta == n*(n-1)/2", "tau == (n-1)^2"]
 
 
 def test_smallres_inconsistent_germ_exits_1(tmp_path, capsys):
@@ -95,6 +94,17 @@ def test_smallres_inconsistent_germ_exits_1(tmp_path, capsys):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed
+
+
+def test_smallres_curve_with_no_pure_power_of_z_answers(capsys):
+    # g has no pure power of z, so tau has one engine (unit weights), and
+    # g's Euler remainder for them answers where g itself runs past
+    # LOCAL_WORK_LIMIT; the germ file is also run by CI without site-packages
+    germ = Path(__file__).parent / "data" / "smallres-mu3-curve.json"
+    code, report = run(capsys, "smallres", str(germ))
+    assert code == 0
+    assert (report["results"]["tau"], report["results"]["mu"], report["results"]["a"]) == (3, 3, 0)
+    assert all(c["pass"] for c in report["checks"])
 
 
 def test_smallres_custom_germ_with_n_exits_2(tmp_path, capsys):
@@ -218,22 +228,24 @@ def test_b2_rank_of_shapes_the_elimination_refused_exits_0_at_once(tmp_path, cap
 
 
 def test_b2_rank_past_its_limit_exits_2_at_once(tmp_path, capsys):
-    # a chain of 817 components of b2 1, one more curve at its head and 817
-    # parallel curves at its tail is charged 1634 * (817 + 1634) units;
-    # every tail curve's search would walk the whole chain
-    comps = [{"id": f"E{i}", "b2": 1} for i in range(817)]
-    pairs = [(i, i + 1) for i in range(816)] + [(0, 1)] + [(815, 816)] * 817
+    # a chain of 5000 components of b2 1, one more curve at its head and
+    # 5000 parallel curves at its tail is charged 10000 * (5000 + 10000)
+    # units: every tail curve's search would walk the whole chain, and
+    # counting it with the limit lifted took 13 s (Python 3.11, 2 cores).
+    # The refusal comes before any search, in about 0.1 s there.
+    comps = [{"id": f"E{i}", "b2": 1} for i in range(5000)]
+    pairs = [(i, i + 1) for i in range(4999)] + [(0, 1)] + [(4998, 4999)] * 5000
     config = {"components": comps,
               "double_curves": [{"id": f"D{j}", "between": [f"E{a}", f"E{b}"]}
                                 for j, (a, b) in enumerate(pairs)]}
-    message = ("b2 rank cross-check too costly: 1634 double curves x "
-               f"(817 components + 1634 curves) (over {dualcomplex.RANK_WORK_LIMIT} units)")
+    message = ("b2 rank cross-check too costly: 10000 double curves x "
+               f"(5000 components + 10000 curves) (over {dualcomplex.RANK_WORK_LIMIT} units)")
     for argv in _b2_inputs(tmp_path, config):
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and elapsed < 0.1
+        assert code == 2 and captured.out == "" and elapsed < 1.0, elapsed
         assert captured.err.startswith("error: ") and captured.err.endswith(message + "\n")
         assert captured.err.count("\n") == 1
 
@@ -371,7 +383,7 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
         "marked": {"d0_curve": "D0"}}}],
      "anticanonical_boundary must be a list of curve ids, got 'D0'"),
     ([{"id": "l", "kind": "link", "config": {"components": [{"id": "E", "b2": 7, "h0q": {"x": 1}}]}}],
-     "h0q keys must be integers q, got 'x'"),
+     "unknown component keys: ['h0q']"),
 ])
 def test_corpus_malformed_entry_exits_2(tmp_path, capsys, entries, message):
     path = tmp_path / "bad.json"

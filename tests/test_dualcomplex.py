@@ -415,22 +415,6 @@ def test_other_kind_needs_explicit_h01():
     assert deformation_dims(c2).h0_t1 == 2
 
 
-def test_higher_ambient_dimension_uses_h0q_table():
-    c = cfg({"components": [{"id": "E", "kind": "other", "h01": 0,
-                             "h0q": {"3": 4, "2": 1}}]})
-    rep = deformation_dims(c, ambient_dim=5)
-    assert rep.h0_t1 == 4      # sum of h^{0,3}
-    assert rep.h1_t1 == 1      # sum of h^{0,2}
-    assert rep.dim_t2 == 1
-    # both rows of the table are mandatory above dimension 3
-    with pytest.raises(ConfigError):
-        deformation_dims(c, ambient_dim=4)
-    partial = cfg({"components": [{"id": "E", "kind": "other", "h01": 0,
-                                   "h0q": {"3": 4}}]})
-    with pytest.raises(ConfigError):
-        deformation_dims(partial, ambient_dim=5)
-
-
 def test_h2_lower_bounds():
     assert h2_lower_bound(cfg(TYPE_II_CHAIN)) == 2       # r - 1
     assert h2_lower_bound(cfg(TYPE_III1_SEGMENT)) == 0
@@ -478,22 +462,6 @@ def test_rejects_anticanonical_boundary_that_is_not_a_list(anti):
     bad["components"][0]["anticanonical_boundary"] = anti
     with pytest.raises(ConfigError, match="anticanonical_boundary must be a list of curve ids"):
         config_from_dict(bad)
-
-
-@pytest.mark.parametrize("key", ["x", "1.5", ""])
-def test_rejects_h0q_key_that_is_not_an_integer(key):
-    with pytest.raises(ConfigError, match=f"h0q keys must be integers q, got {key!r}"):
-        config_from_dict({"components": [{"id": "E", "kind": "rational", "h0q": {key: 1}}]})
-
-
-@pytest.mark.parametrize("table, message", [
-    ({"2": 1, "02": 5}, "h0q key '02' repeats q = 2"),
-    ({"2": 1, " 2": 5}, "h0q key ' 2' repeats q = 2"),
-    ({"1": 0, "-3": 1}, "h0q key '-3' is negative"),
-])
-def test_rejects_h0q_key_that_repeats_or_is_negative(table, message):
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        config_from_dict({"components": [{"id": "E", "kind": "rational", "h0q": table}]})
 
 
 def test_rejects_duplicate_ids():

@@ -16,7 +16,6 @@ from singkit.localring import (
     _entry,
     _fermat_weights,
     _germ_basis,
-    _germ_generators,
     _Keys,
     _Work,
     _misses_an_axis,
@@ -924,7 +923,7 @@ UNIT_ENGINE_GERM = "3/7*z^6 + 1/7*x^3*y*z + x^4 - 3/7*x*y*z^2 + 2/7*y^4 + x^2*z"
 def test_cliff_germs_answer_with_fermat_weights(vars, text, mu):
     f = parse_polynomial(text, vars)
     ideal = jacobian_ideal(f)
-    sb, attempts = _germ_basis(ideal, _engines(_fermat_weights(f)))
+    sb, attempts = _germ_basis(_engines(_fermat_weights(f)), lambda w: [ideal])
     assert sb.weights == _fermat_weights(f) and attempts == 1
     assert milnor_number(f) == quotient_dim(sb) == mu
     assert stabilized_oracle_dim(ideal)[0] == mu
@@ -939,7 +938,7 @@ def test_milnor_number_of_the_115_germ(monkeypatch):
     # 2 s, so not here either).  milnor_number is quotient_dim of this basis,
     # reached by the same engine, attempts and work.
     f = P(GERM_115)
-    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
+    sb, attempts = _germ_basis(_engines(_fermat_weights(f)), lambda w: [jacobian_ideal(f)])
     assert (quotient_dim(sb), sb.weights) == (115, (6, 5, 10, 6))
     assert attempts > 2  # the unit engine had its turns first
     assert _germ_route(monkeypatch, f, False) == (115, _run_record(sb, attempts))
@@ -950,10 +949,30 @@ def test_germ_that_fermat_weights_miss_is_answered_by_the_unit_engine():
     xyz = ("x", "y", "z")
     f = parse_polynomial(UNIT_ENGINE_GERM, xyz)
     assert _engines(_fermat_weights(f)) == ((3, 3, 2), None)
-    sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
+    sb, attempts = _germ_basis(_engines(_fermat_weights(f)), lambda w: [jacobian_ideal(f)])
     assert (quotient_dim(sb), sb.weights, attempts) == (21, (1, 1, 1), 2)
     assert sb.work < FIRST_ATTEMPT_WORK
     assert milnor_number(f) == 21
+
+
+def test_an_engine_makes_its_inputs_when_its_first_turn_comes(monkeypatch):
+    # the Fermat engine answers tau of the cliff germs in its first
+    # attempt, so the unit engine's Euler remainder is never built; mu of
+    # the germ that Fermat weights miss reaches the unit engine
+    import singkit.localring as localring
+    asked = []
+
+    def recording(engines, inputs):
+        return _germ_basis(engines, lambda w: asked.append(w) or inputs(w))
+    monkeypatch.setattr(localring, "_germ_basis", recording)
+    for vars, text, _ in CLIFF_GERMS:
+        f = parse_polynomial(text, vars)
+        asked.clear()
+        tjurina_number(f)
+        assert asked == [_fermat_weights(f)], text
+    asked.clear()
+    milnor_number(parse_polynomial(UNIT_ENGINE_GERM, ("x", "y", "z")))
+    assert asked == [(3, 3, 2), None]
 
 
 def test_engines_need_a_pure_power_of_every_variable_and_unequal_weights():
@@ -1025,7 +1044,7 @@ def test_weights_are_checked():
 def test_repeated_call_is_answered_by_the_same_engine_with_the_same_counts():
     def record(text, vars):
         f = parse_polynomial(text, vars)
-        sb, attempts = _germ_basis(jacobian_ideal(f), _engines(_fermat_weights(f)))
+        sb, attempts = _germ_basis(_engines(_fermat_weights(f)), lambda w: [jacobian_ideal(f)])
         return (sb.weights, attempts, sb.work, _basis_record(sb))
     for vars, text, _ in CLIFF_GERMS + [(("x", "y", "z"), UNIT_ENGINE_GERM, 21)]:
         assert record(text, vars) == record(text, vars)
@@ -1092,51 +1111,51 @@ def _poly_generators(f, with_f):
     return [g for g in gens if not g.is_zero()]
 
 
-def _fermat_degrees(f):
-    """(w, degrees, L): f's Fermat weights w, <w, e> of each term x^e of f,
-    and L the lcm of the exponents a_i of its least pure powers x_i^a_i;
-    None when f has no Fermat weights."""
-    w = _fermat_weights(f)
-    if w is None:
-        return None
+def _euler_remainder(f, w):
+    """L*f - sum w_i x_i df/dx_i as a Poly, for the weights w (None: unit
+    weights) and L the least degree of f's terms under them."""
     n = len(f.vars)
-    L = math.lcm(*(min(e[i] for e in f.terms if e[i] and e.count(0) == n - 1)
-                   for i in range(n)))
-    return w, {e: sum(a * b for a, b in zip(w, e)) for e in f.terms}, L
-
-
-def _euler_remainder(f):
-    """L*f - sum w_i x_i df/dx_i as a Poly, for f's Fermat weights w; None
-    unless f is semi-quasi-homogeneous (no term of degree below L)."""
-    fermat = _fermat_degrees(f)
-    if fermat is None:
-        return None
-    w, degrees, L = fermat
-    if min(degrees.values()) < L:
-        return None
-    n = len(f.vars)
-    r = f * L
+    w = w or (1,) * n
+    r = f * min(sum(a * b for a, b in zip(w, e)) for e in f.terms)
     for i, v in enumerate(f.vars):
         x_i = Poly(f.vars, {tuple(int(j == i) for j in range(n)): w[i]})
         r = r - x_i * f.differentiate(v)
     return r
 
 
-def _kernel_generators(f, with_f):
-    """The Poly generators that tau's and mu's kernel input stands for:
-    those of `_poly_generators`, with f's Euler remainder in place of f
-    where it is zero (then left out), or where f is semi-quasi-homogeneous
-    and only its pure powers have degree L."""
-    r = _euler_remainder(f) if with_f else None
-    if r is None:
-        return _poly_generators(f, with_f)
-    if r.is_zero():
-        return _poly_generators(f, False)
-    _, degrees, L = _fermat_degrees(f)
-    n = len(f.vars)
-    if any(d == L and e.count(0) < n - 1 for e, d in degrees.items()):
-        return _poly_generators(f, True)
-    return [r] + _poly_generators(f, False)
+def _kernel_inputs(f, with_f, w):
+    """The Poly generator lists that the engine with weights w (None: unit
+    weights) tries in turn: mu's partials; for tau f's Euler remainder for
+    w with them (the partials alone where it is zero), then, unless it is,
+    f with them."""
+    jacobian = _poly_generators(f, False)
+    if not with_f:
+        return [jacobian]
+    r = _euler_remainder(f, w)
+    return [jacobian] if r.is_zero() else [[r] + jacobian, [f] + jacobian]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _germ_inputs(monkeypatch, f, with_f):
+    """{engine weights: the primitive generator lists it tries in turn}, in
+    the engines' order, as tjurina_number or milnor_number hands them to
+    `_germ_basis`; None when the number is answered before it."""
+    import singkit.localring as localring
+    seen = {}
+
+    def recording(engines, inputs):
+        seen.update((w, [list(ideal._primitives) for ideal in inputs(w)]) for w in engines)
+        raise _Stop
+    with monkeypatch.context() as m:
+        m.setattr(localring, "_germ_basis", recording)
+        try:
+            (tjurina_number if with_f else milnor_number)(f)
+        except _Stop:
+            return seen
+    return None
 
 
 def _rational_germs():
@@ -1163,19 +1182,24 @@ def _rational_germs():
             yield Poly(XYZW[:n], terms)
 
 
-def test_germ_generators_are_the_primitive_poly_generators():
+def test_germ_generators_are_the_primitive_poly_generators(monkeypatch):
     kinds = set()
-    for f in _rational_germs():
+    germs = list(_rational_germs()) + [
+        parse_polynomial(text, vars) for vars, text, _ in QUASI_HOMOGENEOUS_GERMS]
+    for f in germs:
         for with_f in (True, False):
-            gens = _germ_generators(f, with_f, _fermat_weights(f))
-            assert gens == [_primitive(g.terms) for g in _kernel_generators(f, with_f)], f
-            assert all(type(c) is int for g in gens for c in g.values())
-        n = len(f.vars)
-        kinds.add("missing" if any(all(e[i] == 0 for e in f.terms) for i in range(n))
-                  else "linear" if any(sum(e) == 1 for e in f.terms)
-                  else "euler" if _kernel_generators(f, True) != _poly_generators(f, True)
-                  else "other")
-    assert kinds == {"missing", "linear", "euler", "other"}
+            inputs = _germ_inputs(monkeypatch, f, with_f)
+            if inputs is None:
+                kinds.add("answered before")
+                continue
+            assert list(inputs) == list(_engines(_fermat_weights(f))), f
+            for w, lists in inputs.items():
+                assert lists == [[_primitive(g.terms) for g in gens]
+                                 for gens in _kernel_inputs(f, with_f, w)], (f, w)
+                assert all(type(c) is int for gens in lists for g in gens for c in g.values())
+                if with_f:
+                    kinds.add(("unit" if w is None else "fermat", len(lists)))
+    assert kinds == {"answered before", ("fermat", 1), ("fermat", 2), ("unit", 1), ("unit", 2)}
 
 
 def _run_record(sb, attempts):
@@ -1190,8 +1214,8 @@ def _germ_route(monkeypatch, f, with_f):
     import singkit.localring as localring
     runs = []
 
-    def recording(ideal, engines):
-        sb, attempts = _germ_basis(ideal, engines)
+    def recording(engines, inputs):
+        sb, attempts = _germ_basis(engines, inputs)
         runs.append(_run_record(sb, attempts))
         return sb, attempts
     with monkeypatch.context() as m:
@@ -1201,14 +1225,17 @@ def _germ_route(monkeypatch, f, with_f):
     return value, (runs[0] if runs else None)
 
 
-def _poly_route(f, gens):
-    """The same from the Poly generators `gens`, with the early answers
-    checked by brute force."""
+def _poly_route(f, with_f, inputs):
+    """The same from the Poly generator lists `inputs(w)` that the engine
+    with weights w tries in turn, with the early answers checked by brute
+    force."""
+    gens = _poly_generators(f, with_f)
     if any(g.constant_term() for g in gens):
         return 0, None
     if _vanishes_on_an_axis(gens, f.vars):
         return INFINITE, None
-    sb, attempts = _germ_basis(LocalIdeal(f.vars, gens), _engines(_fermat_weights(f)))
+    sb, attempts = _germ_basis(_engines(_fermat_weights(f)),
+                               lambda w: [LocalIdeal(f.vars, g) for g in inputs(w)])
     return quotient_dim(sb), _run_record(sb, attempts)
 
 
@@ -1221,23 +1248,23 @@ README_GERMS = [(vars, text, True) for vars, text, _ in CLIFF_GERMS] + [
 
 
 def test_tau_and_mu_match_the_poly_route_in_engine_attempts_and_work(monkeypatch):
-    # the run is that of the kernel input's Poly generators; tau is also
-    # the colength of (f) + J, an independent route where f's Euler
-    # remainder stands in for f
-    answered = euler = 0
+    # the run is that of the kernel inputs' Poly generators; tau is also
+    # the colength of (f) + J, an independent route with f itself
+    answered = 0
     for f in _rational_germs():
         for with_f in (True, False):
             got = _germ_route(monkeypatch, f, with_f)
-            assert got == _poly_route(f, _kernel_generators(f, with_f)), (f, with_f)
-            assert got[0] == _poly_route(f, _poly_generators(f, with_f))[0], (f, with_f)
+            assert got == _poly_route(f, with_f, lambda w: _kernel_inputs(f, with_f, w)), \
+                (f, with_f)
+            assert got[0] == _poly_route(f, with_f, lambda w: [_poly_generators(f, with_f)])[0], \
+                (f, with_f)
             answered += got[1] is not None
-        euler += _kernel_generators(f, True) != _poly_generators(f, True)
-    assert answered > 20 and euler >= 5
+    assert answered > 20
     for ambient, text, with_f in README_GERMS:
         f = parse_polynomial(text, ambient)
         got = _germ_route(monkeypatch, f, with_f)
-        assert got == _poly_route(f, _kernel_generators(f, with_f)), text
-        assert got[0] == _poly_route(f, _poly_generators(f, with_f))[0], text
+        assert got == _poly_route(f, with_f, lambda w: _kernel_inputs(f, with_f, w)), text
+        assert got[0] == _poly_route(f, with_f, lambda w: [_poly_generators(f, with_f)])[0], text
 
 
 @pytest.mark.parametrize("number,name", [(tjurina_number, "Tjurina number"),
@@ -1269,19 +1296,21 @@ def test_tau_and_mu_build_no_basis(monkeypatch):
         (tjurina_number if with_f else milnor_number)(f)
         sb, = made
         assert not {"basis", "leading_exponents", "_minimal"} & set(vars(sb)), text
-        want = standard_basis(LocalIdeal(f.vars, _poly_generators(f, with_f)),
-                              weights=sb.weights)
+        gens = next(gens for w in _engines(_fermat_weights(f))
+                    for gens in _kernel_inputs(f, with_f, w)
+                    if [_primitive(g.terms) for g in gens] == list(sb.ideal._primitives))
+        want = standard_basis(LocalIdeal(f.vars, gens), weights=sb.weights)
         assert _basis_record(sb) == _basis_record(want), text
 
 
-def test_ideal_built_from_integers_has_generators_and_a_repr():
+def test_ideal_built_from_integers_has_generators_and_a_repr(monkeypatch):
     xyz = ("x", "y", "z")
     f = parse_polynomial("1/2*x^3 + 2/3*y^2 - z^2 + x*y*z", xyz)
-    ideal = LocalIdeal._of(xyz, _germ_generators(f, True, _fermat_weights(f)))
-    # f is semi-quasi-homogeneous (weights (2, 3, 3), x*y*z of degree 8 > 6),
-    # so its Euler remainder -12*x*y*z stands in for it
+    ideal = LocalIdeal._of(xyz, _germ_inputs(monkeypatch, f, True)[(2, 3, 3)][0])
+    # under the Fermat weights (2, 3, 3) f's least degree is 6 and x*y*z has
+    # degree 8, so the first input enters the Euler remainder -2*x*y*z
     assert repr(ideal) == "LocalIdeal(('x', 'y', 'z'), [-x*y*z, 3*x^2 + 2*y*z, 3*x*z + 4*y, x*y - 2*z])"
-    poly_ideal = LocalIdeal(xyz, _kernel_generators(f, True))
+    poly_ideal = LocalIdeal(xyz, _kernel_inputs(f, True, (2, 3, 3))[0])
     assert [_primitive(g.terms) for g in ideal.generators] == \
         [_primitive(g.terms) for g in poly_ideal.generators]
     # the same kernel input, so the same basis; a Poly ideal converts its
@@ -1322,40 +1351,65 @@ def _semi_quasi_homogeneous_germs(rng, count):
     return germs
 
 
-def test_euler_remainder_generates_the_same_ideal_with_the_jacobian():
-    # (f) + J = (f_E) + J: each of f and f_E reduces to zero modulo a
-    # standard basis of the other ideal, and under the same weights both
-    # have the same leads.  A few germs (4 of these 240) have a principal
-    # part whose partials do not lead with pure powers, and a basis in the
-    # Fermat weights alone then runs long before its corner; each basis
-    # gets 200 000 units of work, and a direction whose basis ran out is
-    # not checked.
+def _germs_without_fermat_weights(rng, count):
+    """Seeded germs in 2-4 variables with rational coefficients: pure
+    powers x_i^a_i (a_i in 2..6) of all variables but one, x_j^a_j x_k
+    (k != j) in place of x_j's, and one to three mixed terms of degree 2
+    to 6.  The partial in x_k holds x_j^a_j, so no axis lies in the
+    singular locus."""
+    germs = []
+    while len(germs) < count:
+        n = rng.randint(2, 4)
+        j, k = rng.sample(range(n), 2)
+        a = [rng.randint(2, 6) for _ in range(n)]
+        terms = {tuple(a[i] if m == i else 0 for m in range(n)): rng.choice(RATIONALS)
+                 for i in range(n) if i != j}
+        terms[tuple(a[j] if m == j else int(m == k) for m in range(n))] = rng.choice(RATIONALS)
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if sum(map(bool, e)) > 1 and sum(e) <= 6:
+                terms[e] = rng.choice(RATIONALS)
+        germs.append(Poly(XYZW[:n], terms))
+    return germs
+
+
+def test_euler_remainder_generates_the_same_ideal_with_the_jacobian(monkeypatch):
+    # (f) + J = (f_E) + J for the weights of each engine: each of f and f_E
+    # reduces to zero modulo a standard basis of the other ideal, and under
+    # the same weights both have the same leads.  Some germs have partials
+    # that do not lead with pure powers in one order, and a basis then
+    # runs long before its corner; each basis gets 200 000 units of work,
+    # and a direction whose basis ran out is not checked.
     def basis(gens, w):
         try:
             return standard_basis(LocalIdeal(f.vars, gens), weights=w, work=_Work(200_000))
         except LocalWorkLimitError:
             return None
-    kinds, both = set(), 0
-    for f in _semi_quasi_homogeneous_germs(random.Random(2101), 240):
-        r = _euler_remainder(f)
-        assert r is not None, f
-        w = _fermat_weights(f)
-        assert _germ_generators(f, True, w) == \
-            [_primitive(g.terms) for g in _kernel_generators(f, True)], f
+    kinds, checked, both = set(), 0, 0
+    germs = (_semi_quasi_homogeneous_germs(random.Random(2101), 240)
+             + _germs_without_fermat_weights(random.Random(2102), 80))
+    for f in germs:
         jacobian = _poly_generators(f, False)
-        with_f = basis([f] + jacobian, w)
-        euler = basis([g for g in [r] + jacobian if not g.is_zero()], w)
-        if euler:
-            assert _normal_form(f.terms, euler) == {}, f
-        if with_f and not r.is_zero():
-            assert _normal_form(r.terms, with_f) == {}, f
-        if with_f and euler:
-            assert euler.leading_exponents == with_f.leading_exponents, f
-            both += 1
-            kinds.add((len(f.vars), "zero" if r.is_zero()
-                       else "kept" if _kernel_generators(f, True)[0] == f else "entered"))
-    assert both >= 230
-    assert kinds == {(n, k) for n in (2, 3, 4) for k in ("zero", "kept", "entered")}
+        inputs = _germ_inputs(monkeypatch, f, True)
+        for w in _engines(_fermat_weights(f)):
+            r = _euler_remainder(f, w)
+            assert inputs[w][0] == [_primitive(g.terms) for g in [r] + jacobian
+                                    if not g.is_zero()], (f, w)
+            with_f = basis([f] + jacobian, w)
+            euler = basis([g for g in [r] + jacobian if not g.is_zero()], w)
+            if euler:
+                assert _normal_form(f.terms, euler) == {}, (f, w)
+            if with_f and not r.is_zero():
+                assert _normal_form(r.terms, with_f) == {}, (f, w)
+            checked += 1
+            if with_f and euler:
+                assert euler.leading_exponents == with_f.leading_exponents, (f, w)
+                both += 1
+                kinds.add((len(f.vars), "fermat" if w else "unit" if _fermat_weights(f)
+                           else "none", r.is_zero()))
+    assert (checked, both >= 530) == (545, True)
+    assert kinds >= {(n, k, False) for n in (2, 3, 4) for k in ("unit", "fermat", "none")}
+    assert kinds >= {(n, "fermat", True) for n in (2, 3, 4)}
 
 
 # (vars, germ, exponents a_i of its pure powers): quasi-homogeneous in
@@ -1372,29 +1426,39 @@ QUASI_HOMOGENEOUS_GERMS = [
 
 
 @pytest.mark.parametrize("vars,text,exponents", QUASI_HOMOGENEOUS_GERMS)
-def test_quasi_homogeneous_tau_builds_the_generators_of_mu(vars, text, exponents):
+def test_quasi_homogeneous_tau_builds_the_generators_of_mu(monkeypatch, vars, text, exponents):
+    # f's Euler remainder for the first engine's weights is zero
     f = parse_polynomial(text, vars)
-    w = _fermat_weights(f)
-    assert _germ_generators(f, True, w) == _germ_generators(f, False, w)
+    first = _engines(_fermat_weights(f))[0]
+    assert _germ_inputs(monkeypatch, f, True)[first] == _germ_inputs(monkeypatch, f, False)[first]
     assert tjurina_number(f) == milnor_number(f) == math.prod(a - 1 for a in exponents)
 
 
-# f keeps its place: a term lies below the degree L of the pure powers,
-# y^2*z (3 < 4) and y^3*z (12 < 15), or a mixed term has degree L, y*z^2*w
-# (6).  With the Euler remainder in place of f, each ended in
-# LocalWorkLimitError after 2-3 s.
-GUARDED_GERMS = [
+# (germ, tau, attempts).  With f's own generators, tau of the first three
+# runs past LOCAL_WORK_LIMIT (in 2-6 s) under both engines; the Euler
+# remainder answers them.  The next has a term of degree 3 below its pure
+# powers, and the remainder for unit weights, its one engine, answers it.
+# The last two have a mixed term at the degree of their pure powers, and
+# their remainders run longer than f: an engine tries the remainder, then
+# f, so the 4th attempt is the unit engine's f and the 2nd the Fermat
+# engine's f.  The oracle stabilizes at
+# every value.
+TAU_ROUTE_GERMS = [
+    (XYZW, "-x^3*y^3*w^3 - 1/7*x^2*y*z^3*w^3 + y^4 + y*z^3 + z^4 + x^3 + 2/7*w^3", 36, 1),
+    (XYZW, "-1/7*x^3*y^3*w - 1/7*x^3*y^2*z*w + 5*y^5 + 2/7*y^2*z^2*w + 5/7*z^5 + 1/2*w^5"
+           " + x^2*y^2 + 2*x^2", 64, 25),
+    (("z", "w"), "z^2*w + w^2 + z^2*w^3 + 2*z*w^4 - 3*z*w^6 + 2*z^6*w^2", 3, 1),
+    (("x", "y", "z"), "5/7*x^2*y^3*z - 1/7*x^3*y^2 - 1/7*y^5 + z^5 + 2*y^3*z + 1/3*x^3", 22, 1),
     (("x", "y", "z"),
-     "-3/7*x*y^3*z^2 - x^4 + 3*x^3*z - 1/7*x*z^3 - 3/7*y^4 + z^4 - 1/7*y^2*z", 15),
-    (("x", "y", "z"), "5/7*x^2*y^3*z - 1/7*x^3*y^2 - 1/7*y^5 + z^5 + 2*y^3*z + 1/3*x^3", 22),
+     "-3/7*x*y^3*z^2 - x^4 + 3*x^3*z - 1/7*x*z^3 - 3/7*y^4 + z^4 - 1/7*y^2*z", 15, 4),
     (XYZW, "-3*x^2*y*z^5 - x^2*z^2*w^3 - 1/7*x^2*z*w^3 - 1/2*z^6 + 2/3*y*z^2*w - y^3"
-           " - 1/7*w^3 + 5/7*x^2", 20),
+           " - 1/7*w^3 + 5/7*x^2", 20, 2),
 ]
 
 
-@pytest.mark.parametrize("vars,text,tau", GUARDED_GERMS)
-def test_germ_with_a_term_below_or_mixed_at_its_pure_powers_keeps_f(monkeypatch, vars, text, tau):
+@pytest.mark.parametrize("vars,text,tau,attempts", TAU_ROUTE_GERMS)
+def test_tau_tries_the_euler_remainder_then_f(monkeypatch, vars, text, tau, attempts):
     f = parse_polynomial(text, vars)
-    assert _germ_generators(f, True, _fermat_weights(f))[0] == _primitive(f.terms)
-    value, (weights, attempts, work, counts) = _germ_route(monkeypatch, f, True)
-    assert (value, attempts) == (tau, 1)
+    value, (weights, n, work, counts) = _germ_route(monkeypatch, f, True)
+    assert (value, n) == (tau, attempts)
+    assert stabilized_oracle_dim(jacobian_ideal(f, with_f=True))[0] == tau

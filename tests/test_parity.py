@@ -150,11 +150,11 @@ DIGESTS = {
     "milnor": "c0605090c22134123d72caf4a67b1fcd6a57cffd1b607987ccc6f67b3c0bcbc4",  # exit 0
     "milnor-non-isolated": "0152be086bcefed025a8038ade61e8ebc1e1d286863bbb49e5fe92fb0dbc8400",  # exit 0
     "milnor-vars": "6103998fb2ea9570f53511fe0e6920648a5c040eacc724f3988db4dbdea257e7",  # exit 0
-    "smallres-a1": "48b9f690e337f2d28074f919e1b27269bf2e9a255a27459b1f0297f0307044cf",  # exit 0
-    "smallres-a3": "772796cab0ddc455a9ad1f6e160938d0d674efb578896a52b9f2ccaa6ae5b71b",  # exit 0
-    "smallres-custom": "ed38126cabbb6eb33c242550eadbe1b32a0f17c40b32ffbfebacd093355582c0",  # exit 0
-    "smallres-inconsistent": "c778fed34b2ceb3dc504b713591950b535f1af5cb5ba538fbdb744bc6f5d07a4",  # exit 1
-    "smallres-lines": "4b3741c17890e934885ebbee2d3df27d438d901cffe16de72122add758d121fb",  # exit 0
+    "smallres-a1": "f5f01ed83fffb06b3fce3c0d7fdc3229198cc4f9c3752170aa414da0d270be93",  # exit 0
+    "smallres-a3": "a331a43f3a709c5d57bc4065e2e7fc893b6fb6c8dd019383251238ba0079325d",  # exit 0
+    "smallres-custom": "c18b25a9b6e55a65eb1c2a93809c69e42dc17aacba53daa293ae57aa470375a4",  # exit 0
+    "smallres-inconsistent": "a5a2fc520125810a23cf08e6ebe71887c84a4ad50a4791cbcb6b70ada4b2f539",  # exit 1
+    "smallres-lines": "17019ec5bcb09431a066cc34c9dbebd499fdb840b766cbe83a5cbc11ae0be86f",  # exit 0
     "smallres-missing-file": "aa74bf3c37ba085d8998e69f505f3eb8cfe5eb699cd3d38dd64f43977a19dca1",  # exit 2
     "smallres-parity": "903e853e3ff000502b97761c4ac156b374ada08d499636b7f510b215758b7563",  # exit 1
     "tjurina": "4ed93a75f70a52000c2ae11ff45afaaa009ab5e5fb30585735d3b922d1a936c2",  # exit 0
