@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .poly import Poly, PolyMatrix, _uni_rem, discriminant, univariate_gcd
+from .poly import Poly, _det_cofactor, _uni_rem, discriminant, univariate_gcd
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
 # and testing a candidate root with integer Horner is 2 steps per
@@ -34,8 +34,10 @@ from .poly import Poly, PolyMatrix, _uni_rem, discriminant, univariate_gcd
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
 # Largest degree n that `build` accepts, chosen by measurement (Python
-# 3.11.7, 2-core VM): defspace-verify's identities took 0.09 s at n = 14,
-# 0.84 s at n = 24 and 1.7-2.2 s at n = 28.
+# 3.11.7, 2-core VM): defspace-verify's identities take 0.02 s at n = 14
+# and 0.08 s at n = 24, so the bound is set by defspace-fiber, whose
+# Sylvester discriminant took 0.2 s at n = 14, 1.15 s at n = 24 and
+# 1.6-1.9 s at n = 28.
 DEGREE_LIMIT = 24
 
 
@@ -184,7 +186,11 @@ def jacobian_identity(m: RootFactorMap) -> JacobianResult:
     rows = []
     for v in mv:
         rows.append([comp.differentiate(v) for comp in m.components])
-    det = PolyMatrix(rows).determinant()
+    # One dense lam row over a bidiagonal block of 1 and -lam: cofactor
+    # expansion skips the zeros and grows polynomially in n, while the
+    # Bareiss elimination of PolyMatrix.determinant fills in the whole
+    # matrix (0.94 s against 44 ms at n = 24).
+    det = _det_cofactor(rows)
     q_at = m.cofactor.substitute({"w": Poly.var(mv, "lam")})
     if det == q_at:
         return JacobianResult(True, 1, det, q_at)

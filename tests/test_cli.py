@@ -261,8 +261,14 @@ def test_defspace_fiber(capsys):
 
 
 def test_defspace_fiber_bad_b_exits_2(capsys):
-    assert main(["defspace-fiber", "--n", "3", "--b", "1,oops"]) == 2
     assert main(["defspace-fiber", "--n", "3", "--b", "1"]) == 2  # wrong length
+    capsys.readouterr()
+    for b, detail in [("1,oops", "Invalid literal for Fraction: 'oops'"),
+                      ("1/0,0", "'1/0'"), ("0, 2/0 ", "'2/0'")]:
+        assert main(["defspace-fiber", "--n", "3", f"--b={b}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --b must be comma-separated rationals: {detail}\n"
 
 
 def test_corpus_bundled(capsys):

@@ -18,7 +18,7 @@ from singkit.defspace import (
     verify_factor_identity,
 )
 from singkit.errors import ConfigError
-from singkit.poly import Poly, parse_polynomial
+from singkit.poly import Poly, _det_bareiss, _det_cofactor, parse_polynomial
 
 
 def test_build_small_cases():
@@ -47,7 +47,7 @@ def test_degree_is_bounded():
         build(60)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, DEGREE_LIMIT + 1))
 def test_symbolic_identities(n):
     m = build(n)
     assert verify_factor_identity(m)
@@ -56,6 +56,15 @@ def test_symbolic_identities(n):
     assert jac.sign == (-1) ** (n - 1)
     assert inverse_composition_reduces(m)
     assert ramification_check(m)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_jacobian_cofactor_expansion_agrees_with_bareiss(n):
+    """jacobian_identity expands its determinant by cofactors; fraction-free
+    elimination is the reference."""
+    m = build(n)
+    rows = [[c.differentiate(v) for c in m.components] for v in ("lam",) + m.t_names]
+    assert _det_cofactor(rows) == _det_bareiss(rows) == jacobian_identity(m).determinant
 
 
 def test_identities_fast_enough():

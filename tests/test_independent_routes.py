@@ -1,6 +1,7 @@
 """Exact linear algebra and univariate division against sympy, an
 independent implementation: the shared sparse elimination, the weight
-solver, gcd and remainder, Sylvester determinants and rational roots.
+solver, gcd and remainder, Sylvester determinants, rational roots and the
+Jacobian determinant of the root-splitting map.
 sympy is a test dependency only; without it this module is skipped."""
 
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from singkit.defspace import _rational_roots, reduce_mod_monic
+from singkit.defspace import _rational_roots, build, jacobian_identity, reduce_mod_monic
 from singkit.localring import quasi_homogeneous_weights
 from singkit.poly import Poly, _reduce_into, discriminant, resultant, univariate_gcd
 
@@ -171,3 +172,12 @@ def test_rational_roots_match_sympy():
             continue
         want = sorted(r for r in sympy.roots(sympy.Poly(S(f), w)) if r.is_rational)
         assert _rational_roots(f, "w") == [Fraction(int(r.p), int(r.q)) for r in want], f
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_jacobian_determinant_matches_sympy(n):
+    m = build(n)
+    comps = sympy.Matrix([S(c) for c in m.components])
+    names = sympy.symbols(("lam",) + m.t_names)
+    want = comps.jacobian(names).det()
+    assert sympy.expand(want - S(jacobian_identity(m).determinant)) == 0
