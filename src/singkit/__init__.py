@@ -38,7 +38,6 @@ from .smallres import (
     SmallResInvariants,
     SuspendedCurveGerm,
     germ_from_dict,
-    is_ordinary_double_point,
     plane_delta_invariant,
     small_res_invariants,
     small_res_report,
@@ -92,7 +91,7 @@ __all__ = [
     "truncated_dim_oracle", "stabilized_oracle_dim", "quasi_homogeneous_weights",
     "Family", "SuspendedCurveGerm", "SmallResInvariants", "suspension",
     "plane_delta_invariant", "small_res_invariants", "small_res_report",
-    "is_ordinary_double_point", "germ_from_dict",
+    "germ_from_dict",
     "Kind", "SurfaceComponent", "DoubleCurve", "TriplePoint", "MarkedData",
     "DivisorConfiguration", "DualComplex", "build_dual_complex",
     "link_invariant", "restriction_rank_b2", "deformation_dims",

@@ -110,9 +110,7 @@ def _cmd_defspace_fiber(args):
     for item in filter(None, (v.strip() for v in args.b.split(","))):
         try:
             b_values.append(Fraction(item))
-        except ValueError as exc:  # its message quotes the item
-            raise ConfigError(f"--b must be comma-separated rationals: {exc}") from exc
-        except ZeroDivisionError as exc:  # its message is Python's Fraction(a, 0)
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"--b must be comma-separated rationals: {item!r}") from exc
     inputs = {"n": args.n, "b": b_values}
     return _emit("defspace-fiber", inputs, *corpus.fiber(inputs))

@@ -160,8 +160,7 @@ ENTRIES = [
      "expected": {"tau": 16, "mu": 16, "r": 4, "delta": 10, "b": 6, "a": 0,
                   "b11": 6, "b21": 6, "ell21": 4, "is_odp": False, "checks_pass": True}},
     {"id": "smallres/five-lines-deformed", "kind": "smallres",
-     "germ": {"g": "z^5 - w^5 + z^3*w^3", "family": "custom",
-              "branches": 5, "r_override": 4},
+     "germ": {"g": "z^5 - w^5 + z^3*w^3", "family": "custom", "branches": 5},
      "expected": {"tau": 15, "mu": 16, "r": 4, "delta": 10, "b": 6, "a": 1,
                   "b11": 6, "b21": 5, "ell21": 4, "is_odp": False, "checks_pass": True}},
 
@@ -261,6 +260,7 @@ def smallres(inputs):
         "h2_forms_dim": inv.h2_forms_dim,
         "relations": {
             "delta": "(mu(g) + branches - 1) / 2",
+            "r": "branches - 1",
             "b": "delta - r",
             "a": "2*b + r - tau",
             "b11": "b", "b21": "b - a", "ell21": "r",

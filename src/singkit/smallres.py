@@ -1,11 +1,15 @@
 """Invariants of threefold germs x^2 + y^2 + g(z,w) with small resolutions.
 
-The germ f is the double suspension of a reduced plane curve g.  Its small
-resolution data is governed by plane-curve numbers: delta of g, the
-number of exceptional curves r, and the Tjurina number of the threefold.
-From those, b = delta - r counts independent exceptional cohomology
-classes and a = 2b + r - tau measures the failure of the singularity to
-admit a good torus action (a = 0 exactly for a quasi-homogeneous germ).
+The germ f is the double suspension of a reduced plane curve g, the cA_m
+singularity uv + g with m + 1 = ord g.  By Katz (Small resolutions of
+Gorenstein threefold singularities, 1991) it has a small resolution iff
+g has ord g branches, and then the exceptional set is a chain of
+r = branches - 1 rational curves.  Its small resolution data is governed
+by plane-curve numbers: delta of g, r, and the Tjurina number of the
+threefold.  From those, b = delta - r counts independent exceptional
+cohomology classes and a = 2b + r - tau = mu - tau measures the failure
+of the singularity to admit a good torus action (a = 0 exactly for a
+quasi-homogeneous germ, by Saito).
 
 Every number is computed on g: df/dx = 2x, df/dy = 2y and f = g mod
 (x, y) give (f, df) = (x, y, g, dg), so O_4/(f, df) = O_2/(g, dg) and
@@ -42,7 +46,6 @@ class SuspendedCurveGerm:
     family: Family
     n: int | None = None
     branches: int | None = None
-    r_override: int | None = None
 
     def __post_init__(self):
         g = self.g
@@ -58,8 +61,8 @@ class SuspendedCurveGerm:
         if fam in (Family.DISTINCT_LINES, Family.A1_TIMES):
             if self.n is None or self.n < 1:
                 raise ConfigError(f"family {fam.value} needs a positive n")
-            if self.branches is not None or self.r_override is not None:
-                raise ConfigError(f"family {fam.value} derives branches and r itself")
+            if self.branches is not None:
+                raise ConfigError(f"family {fam.value} derives its branches itself")
         if fam is Family.DISTINCT_LINES:
             if self.n < 2:
                 raise ConfigError("distinct_lines needs n >= 2")
@@ -75,7 +78,7 @@ class SuspendedCurveGerm:
                 )
         elif fam is Family.CUSTOM:
             if self.n is not None:
-                raise ConfigError("custom germs take branches and r_override, not n")
+                raise ConfigError("custom germs take branches, not n")
             if self.branches is None or self.branches < 1:
                 raise ConfigError("custom germs need an explicit positive branch count")
         else:  # pragma: no cover
@@ -119,29 +122,19 @@ def plane_delta_invariant(g: Poly, branches: int) -> int:
     return (mu + branches - 1) // 2
 
 
-def exceptional_curve_count(s: SuspendedCurveGerm) -> int:
-    """Number of exceptional curves of the small resolution."""
-    if s.family is Family.DISTINCT_LINES:
-        return s.n - 1
-    if s.family is Family.A1_TIMES:
-        return 1
-    if s.r_override is None:
-        raise ConfigError("custom germs need r_override to fix the exceptional curve count")
-    return s.r_override
-
-
 @dataclass(frozen=True)
 class SmallResInvariants:
     """Numeric package of the small resolution.
 
-    tau and mu are the threefold's, equal to g's.  b11, b21 and ell21
-    are the graded pieces of tau: tau = b11 + b21 + ell21 with b11 = b,
-    b21 = b - a, ell21 = r, all three by definition.  The local
-    cohomology of middle-degree forms along the exceptional curves has
-    dimension b + r (= b11 + ell21); the toolkit places that group in
-    cohomological degree 2 throughout, the degree consistent with the
-    decomposition of tau.  The same number is sometimes quoted with
-    superscript 1; we fix one convention rather than guess intent.
+    tau and mu are the threefold's, equal to g's.  r = branches - 1, so
+    a = 2b + r - tau = mu - tau.  b11, b21 and ell21 are the graded
+    pieces of tau: tau = b11 + b21 + ell21 with b11 = b, b21 = b - a,
+    ell21 = r, all three by definition.  The local cohomology of
+    middle-degree forms along the exceptional curves has dimension b + r
+    (= b11 + ell21); the toolkit places that group in cohomological
+    degree 2 throughout, the degree consistent with the decomposition of
+    tau.  The same number is sometimes quoted with superscript 1; we fix
+    one convention rather than guess intent.
     """
 
     tau: int
@@ -175,19 +168,22 @@ def small_res_report(s: SuspendedCurveGerm):
     """Compute the invariant package plus its named consistency checks.
 
     tau, mu and the weights test run on g (module docstring); mu is read
-    back from delta = (mu + branches - 1) / 2.  delta = b + r,
-    tau = 2b - a + r and tau = b11 + b21 + ell21 hold by definition, and
-    b + r <= tau <= 2b + r is a <= b and a >= 0, so only relations that
-    can fail are checked, each once.  Returns (invariants,
-    checks, warnings) without raising on a failed check; each check is a
-    dict with name/expected/actual/pass.
+    back from delta = (mu + branches - 1) / 2, and r = branches - 1.
+    delta = b + r, tau = 2b - a + r and tau = b11 + b21 + ell21 hold by
+    definition, b + r <= tau <= 2b + r is a <= b and a >= 0, and
+    a = mu - tau makes a >= 0 the check tau <= mu, so only relations that
+    can fail are checked, each once.  A custom germ's branch count is
+    user data, so it is checked against Katz's condition
+    branches == ord g; the named families meet it by construction.
+    Returns (invariants, checks, warnings) without raising on a failed
+    check; each check is a dict with name/expected/actual/pass.
     """
     tau = tjurina_number(s.g)
     if tau == INFINITE:
         raise ValueError("suspended germ has a non-isolated singularity")
+    r = s.branch_count - 1
     delta = plane_delta_invariant(s.g, s.branch_count)
-    mu = 2 * delta - s.branch_count + 1
-    r = exceptional_curve_count(s)
+    mu = 2 * delta - r
     b = delta - r
     a = 2 * b + r - tau
     inv = SmallResInvariants(
@@ -211,11 +207,12 @@ def small_res_report(s: SuspendedCurveGerm):
         )
 
     chk("b >= 0", True, b >= 0)
-    chk("a >= 0", True, a >= 0)
     chk("a <= b", True, a <= b)
     chk("tau <= mu", True, tau <= mu)
     if inv.is_odp:
         chk("odp forces tau == r == delta == 1", (1, 1, 1), (tau, r, delta))
+    if s.family is Family.CUSTOM:
+        chk("branches == ord g", s.branches, s.g.order_at_origin())
     if s.family is Family.DISTINCT_LINES:
         chk("delta == n*(n-1)/2", delta, s.n * (s.n - 1) // 2)
         chk("tau == (n-1)^2", tau, (s.n - 1) ** 2)
@@ -244,22 +241,9 @@ def small_res_invariants(s: SuspendedCurveGerm) -> SmallResInvariants:
     return inv
 
 
-def is_ordinary_double_point(inv: SmallResInvariants) -> bool:
-    """b = 0 characterizes the ordinary double point; cross-checks that
-    the rest of the package agrees."""
-    if inv.is_odp != (inv.b == 0):
-        raise ConsistencyError("is_odp", "flag disagrees with b == 0")
-    if inv.b == 0 and not (inv.tau == inv.r == inv.delta == 1):
-        raise ConsistencyError(
-            "odp forces tau == r == delta == 1",
-            f"got tau={inv.tau}, r={inv.r}, delta={inv.delta}",
-        )
-    return inv.b == 0
-
-
 # -- JSON interchange ----------------------------------------------------------
 
-_GERM_KEYS = {"g", "family", "n", "branches", "r_override"}
+_GERM_KEYS = {"g", "family", "n", "branches"}
 
 
 def germ_from_dict(d: dict, vars=("z", "w")) -> SuspendedCurveGerm:
@@ -286,10 +270,4 @@ def germ_from_dict(d: dict, vars=("z", "w")) -> SuspendedCurveGerm:
             raise ConfigError(f"{key} must be a nonnegative integer")
         return v
 
-    return SuspendedCurveGerm(
-        g=g,
-        family=fam,
-        n=uint("n"),
-        branches=uint("branches"),
-        r_override=uint("r_override"),
-    )
+    return SuspendedCurveGerm(g=g, family=fam, n=uint("n"), branches=uint("branches"))

@@ -77,8 +77,7 @@ SUSPENSION_GERMS = [
     {"g": "z^5 - w^5", "family": "distinct_lines", "n": 5},
 ]
 
-DEFORMED_GERM = {"g": "z^5 - w^5 + z^3*w^3", "family": "custom",
-                 "branches": 5, "r_override": 4}
+DEFORMED_GERM = {"g": "z^5 - w^5 + z^3*w^3", "family": "custom", "branches": 5}
 
 
 def test_acceptance_1_tjurina_regression():

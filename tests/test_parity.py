@@ -44,15 +44,14 @@ CONFIGS = {
 GERMS = {
     "lines": {"g": "z^5 - w^5", "family": "distinct_lines", "n": 5},
     "a1": {"g": "z^2 + w^6", "family": "a1_times", "n": 3},
-    "custom": {"g": "z^5 - w^5 + z^3*w^3", "family": "custom",
-               "branches": 5, "r_override": 4},
-    # relations fail: five lines labelled as three branches (exit 1)
-    "inconsistent": {"g": "z^5 - w^5", "family": "custom", "branches": 3, "r_override": 4},
+    "custom": {"g": "z^5 - w^5 + z^3*w^3", "family": "custom", "branches": 5},
+    # five lines labelled as three branches fail branches == ord g (exit 1)
+    "inconsistent": {"g": "z^5 - w^5", "family": "custom", "branches": 3},
     # mu + branches - 1 is odd: ConsistencyError (exit 1)
-    "parity": {"g": "z^5 - w^5", "family": "custom", "branches": 4, "r_override": 4},
+    "parity": {"g": "z^5 - w^5", "family": "custom", "branches": 4},
     # an A3 curve plus a higher term: every check passes, the weights
     # detector warns (exit 0)
-    "a3": {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2, "r_override": 1},
+    "a3": {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2},
 }
 
 # corpus entries beyond the bundled ones, all without expectations
@@ -125,7 +124,7 @@ DIGESTS = {
     "corpus-seed0": "3dcb59f9b647b5af53832cbfbcea3d33b0333a2f7cfa2f78cb75889fd4e436e7",  # exit 0
     "corpus-seed7": "0434abd24f904cfff7b69e1368060e928e6ef9c8fcf891ced2943d0caafc16b9",  # exit 0
     "corpus-stripped": "2743abb9e2c4415b22233ad27139837b80cf3881fc21c6b7c19a6f5c7b255831",  # exit 0
-    "defspace-fiber-bad-b": "12876454ef431d204ae273987db5a39323ac7e6e31a92bf59274a365b157f453",  # exit 2
+    "defspace-fiber-bad-b": "44b806b5d74e8891040bc49ef3b75deb4493a87153e7d156494c28d1f127493e",  # exit 2
     "defspace-fiber-double-root": "cdc9d78f246854154a657744f4ce7ebba2502e977c1f1e53e5affaf384db2c80",  # exit 0
     "defspace-fiber-fractions": "4c6a869f5b8c93398ccaecb38bcde61b900513815a39d0517531dc8a39226264",  # exit 0
     "defspace-fiber-split": "49623bdf4ba35759cdf125ebd5c078021d7043713485154bcb34da2f4dfa74dd",  # exit 0
@@ -150,11 +149,11 @@ DIGESTS = {
     "milnor": "c0605090c22134123d72caf4a67b1fcd6a57cffd1b607987ccc6f67b3c0bcbc4",  # exit 0
     "milnor-non-isolated": "0152be086bcefed025a8038ade61e8ebc1e1d286863bbb49e5fe92fb0dbc8400",  # exit 0
     "milnor-vars": "6103998fb2ea9570f53511fe0e6920648a5c040eacc724f3988db4dbdea257e7",  # exit 0
-    "smallres-a1": "f5f01ed83fffb06b3fce3c0d7fdc3229198cc4f9c3752170aa414da0d270be93",  # exit 0
-    "smallres-a3": "a331a43f3a709c5d57bc4065e2e7fc893b6fb6c8dd019383251238ba0079325d",  # exit 0
-    "smallres-custom": "c18b25a9b6e55a65eb1c2a93809c69e42dc17aacba53daa293ae57aa470375a4",  # exit 0
-    "smallres-inconsistent": "a5a2fc520125810a23cf08e6ebe71887c84a4ad50a4791cbcb6b70ada4b2f539",  # exit 1
-    "smallres-lines": "17019ec5bcb09431a066cc34c9dbebd499fdb840b766cbe83a5cbc11ae0be86f",  # exit 0
+    "smallres-a1": "912bf6b510755640847a85b7c08cea01edf2b096e0541198d12d275da6b354fe",  # exit 0
+    "smallres-a3": "64680aa53b639281e54501577ae70495a053f798acc5dc48b0838eed87021223",  # exit 0
+    "smallres-custom": "2689556523a51940fe1636748e233d62cc012c6d45ecb3ab888194141d778b6c",  # exit 0
+    "smallres-inconsistent": "76cea54a2f5669aab9c73d3769699c78e936b3b33fab50b0904c8834812bc758",  # exit 1
+    "smallres-lines": "d7ee366044791c3568651cb5f39a01217caaee7a6699e94feff5c8ad3c9a5bff",  # exit 0
     "smallres-missing-file": "aa74bf3c37ba085d8998e69f505f3eb8cfe5eb699cd3d38dd64f43977a19dca1",  # exit 2
     "smallres-parity": "903e853e3ff000502b97761c4ac156b374ada08d499636b7f510b215758b7563",  # exit 1
     "tjurina": "4ed93a75f70a52000c2ae11ff45afaaa009ab5e5fb30585735d3b922d1a936c2",  # exit 0

@@ -17,7 +17,6 @@ from singkit.smallres import (
     Family,
     SuspendedCurveGerm,
     germ_from_dict,
-    is_ordinary_double_point,
     plane_delta_invariant,
     small_res_invariants,
     small_res_report,
@@ -34,7 +33,7 @@ def G(text):
 def test_ordinary_double_point_package():
     inv = small_res_invariants(germ_from_dict({"g": "z^2 + w^2", "family": "a1_times", "n": 1}))
     assert (inv.tau, inv.mu, inv.r, inv.delta, inv.b, inv.a) == (1, 1, 1, 1, 0, 0)
-    assert inv.is_odp and is_ordinary_double_point(inv)
+    assert inv.is_odp
     # the ODP forces tau = r = delta = 1
     assert inv.tau == inv.r == inv.delta == 1
 
@@ -61,7 +60,7 @@ def test_five_lines_package():
 def test_deformed_five_lines_package():
     inv = small_res_invariants(germ_from_dict({
         "g": "z^5 - w^5 + z^3*w^3", "family": "custom",
-        "branches": 5, "r_override": 4,
+        "branches": 5,
     }))
     assert (inv.tau, inv.mu) == (15, 16)
     assert (inv.r, inv.delta, inv.b, inv.a) == (4, 10, 6, 1)
@@ -78,7 +77,7 @@ def test_consistency_relations_hold_on_every_package():
         {"g": "z^3 - w^3", "family": "distinct_lines", "n": 3},
         {"g": "z^4 - w^4", "family": "distinct_lines", "n": 4},
         {"g": "z^5 - w^5", "family": "distinct_lines", "n": 5},
-        {"g": "z^5 - w^5 + z^3*w^3", "family": "custom", "branches": 5, "r_override": 4},
+        {"g": "z^5 - w^5 + z^3*w^3", "family": "custom", "branches": 5},
     ]
     for d in germs:
         inv, checks, _ = small_res_report(germ_from_dict(d))
@@ -120,7 +119,7 @@ def test_suspension_polynomial():
 def test_suspension_variable_collision():
     g = parse_polynomial("x^2 + y^2", ("x", "y"))
     with pytest.raises(ConfigError, match="suspension variables"):
-        SuspendedCurveGerm(g=g, family=Family.CUSTOM, branches=2, r_override=1)
+        SuspendedCurveGerm(g=g, family=Family.CUSTOM, branches=2)
 
 
 def test_delta_invariant_values():
@@ -162,28 +161,30 @@ def _differential_germs(rng):
             lines = lines * (Poly.var(ZW, "z") - Poly.const(ZW, c) * Poly.var(ZW, "w"))
         named.append({"g": str(lines), "family": "distinct_lines", "n": n})
     curves = (_random_curve(rng) for _ in range(400))
-    return named + [{"g": g, "family": "custom", "branches": 1, "r_override": 0}
+    return named + [{"g": g, "family": "custom", "branches": 1}
                     for g in curves if not G(g).is_zero()]
 
 
 def test_report_matches_the_four_variable_route():
     # tau, mu and the weights test of the report run on g; the suspension f
     # is the reference route.  An isolated custom germ takes a branch count
-    # with the parity of mu(f) and a random r, so that it reaches a report.
+    # with the parity of mu(f), so that it reaches a report.
     rng = random.Random(2022)
     reports = warned = 0
     for d in _differential_germs(rng):
-        f = suspension(germ_from_dict(d))
+        germ = germ_from_dict(d)
+        f = suspension(germ)
         tau, mu = tjurina_number(f), milnor_number(f)
         if d["family"] == "custom" and mu != INFINITE:
-            d.update(branches=rng.choice([k for k in range(1, 5) if (mu + k) % 2]),
-                     r_override=rng.randint(0, 4))
+            d.update(branches=rng.choice([k for k in range(1, 5) if (mu + k) % 2]))
+            germ = germ_from_dict(d)
         if tau == INFINITE:
             with pytest.raises(ValueError, match="non-isolated"):
-                small_res_report(germ_from_dict(d))
+                small_res_report(germ)
             continue
-        inv, _, warnings = small_res_report(germ_from_dict(d))
+        inv, _, warnings = small_res_report(germ)
         assert (inv.tau, inv.mu) == (tau, mu), d
+        assert inv.r == germ.branch_count - 1 and inv.a == mu - tau, d
         disagree = (quasi_homogeneous_weights(f) is not None) != (inv.a == 0)
         assert bool(warnings) == disagree, d
         reports += 1
@@ -194,7 +195,7 @@ def test_report_matches_the_four_variable_route():
 def test_consistent_germ_with_a_detector_warning_passes():
     # an A3 curve plus a higher term: tau = mu = 3 and a = 0, but the
     # detector finds no weights in these coordinates; only a warning
-    germ = {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2, "r_override": 1}
+    germ = {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2}
     inv, checks, warnings = small_res_report(germ_from_dict(germ))
     assert (inv.tau, inv.mu, inv.a) == (3, 3, 0)
     assert all(c["pass"] for c in checks) and warnings
@@ -204,11 +205,10 @@ def test_consistent_germ_with_a_detector_warning_passes():
 
 
 def test_wrong_branch_count_is_caught_by_report():
-    # five concurrent lines declared with four branches: parity happens to
-    # pass but the consistency relations fail
-    germ = SuspendedCurveGerm(g=G("z^5 - w^5"), family=Family.CUSTOM,
-                              branches=3, r_override=4)
-    with pytest.raises(ConsistencyError):
+    # five concurrent lines declared as three branches: parity happens to
+    # pass, but a small resolution needs ord g = 5 branches
+    germ = SuspendedCurveGerm(g=G("z^5 - w^5"), family=Family.CUSTOM, branches=3)
+    with pytest.raises(ConsistencyError, match="branches == ord g"):
         small_res_invariants(germ)
 
 
@@ -258,7 +258,8 @@ def test_custom_needs_branches():
         SuspendedCurveGerm(g=G("z^2 - w^3"), family=Family.CUSTOM)
 
 
-def test_custom_needs_r_override_for_invariants():
+def test_cusp_has_no_small_resolution():
+    # x^2 + y^2 + z^2 - w^3 is A2: one branch, but ord g = 2 (Katz)
     germ = SuspendedCurveGerm(g=G("z^2 - w^3"), family=Family.CUSTOM, branches=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConsistencyError, match="branches == ord g"):
         small_res_invariants(germ)
