@@ -23,15 +23,13 @@ GERMS = [
 
 for data in GERMS:
     germ = germ_from_dict(data)
-    inv, checks, warnings = small_res_report(germ)
+    inv, checks = small_res_report(germ)
     print(f"g = {data['g']}   (suspension {suspension(germ)})")
     print(f"  tau = {inv.tau}  mu = {inv.mu}  r = {inv.r}  delta = {inv.delta}")
     print(f"  b = {inv.b}  a = {inv.a}  (b11, b21, ell21) = "
           f"({inv.b11}, {inv.b21}, {inv.ell21})  odp = {inv.is_odp}")
     failed = [c["name"] for c in checks if not c["pass"]]
     print(f"  {len(checks)} consistency checks, failed: {failed or 'none'}")
-    for w in warnings:
-        print(f"  warning: {w}")
     print()
 
 # r is never an input: the exceptional set is a chain of branches - 1

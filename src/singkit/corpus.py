@@ -254,7 +254,7 @@ def milnor(inputs):
 
 
 def smallres(inputs):
-    inv, checks, warnings = sr.small_res_report(sr.germ_from_dict(inputs["germ"]))
+    inv, checks = sr.small_res_report(sr.germ_from_dict(inputs["germ"]))
     results = {
         **asdict(inv),
         "h2_forms_dim": inv.h2_forms_dim,
@@ -268,7 +268,7 @@ def smallres(inputs):
             "h2_forms_dim": "b + r",
         },
     }
-    return results, checks, warnings
+    return results, checks, []
 
 
 def link(inputs):

@@ -33,11 +33,12 @@ from .poly import Poly, _det_cofactor, _uni_rem, discriminant, univariate_gcd
 # gcd that skips a/b not in lowest terms, ran at 0.06-0.09 us per charged
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
-# Largest degree n that `build` accepts, chosen by measurement (Python
-# 3.11.7, 2-core VM): defspace-verify's identities take 0.02 s at n = 14
-# and 0.08 s at n = 24, so the bound is set by defspace-fiber, whose
-# Sylvester discriminant took 0.2 s at n = 14, 1.15 s at n = 24 and
-# 1.6-1.9 s at n = 28.
+# Largest degree n that `build` accepts.  Measured in process (Python
+# 3.11.7, 2-core VM): defspace-verify's identities take 0.01 s at n = 14,
+# 0.04 s at n = 24 and 0.2 s at n = 40; fiber_count, whose discriminant
+# is a subresultant sequence, takes 0.01 s at n = 14, 0.014-0.03 s at
+# n = 24 and 0.04-0.23 s at n = 40 (b all ones, random b).  A higher
+# limit would need figures of its own, rational root search included.
 DEGREE_LIMIT = 24
 
 
@@ -70,7 +71,7 @@ class RootFactorMap:
 
 def build(n: int) -> RootFactorMap:
     if not isinstance(n, int) or n < 2:
-        raise ValueError("degree n must be an integer >= 2")
+        raise ConfigError("degree n must be an integer >= 2")
     if n > DEGREE_LIMIT:
         raise ConfigError(f"degree n = {n} too large (over {DEGREE_LIMIT})")
     bs = _b_names(n)
@@ -221,7 +222,7 @@ def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
     returned as explicit fiber points with exact t coordinates."""
     vals = [Fraction(v) for v in b_values]
     if len(vals) != m.n - 1:
-        raise ValueError(f"need {m.n - 1} coefficients b_{{n-2}}..b_0, got {len(vals)}")
+        raise ConfigError(f"need {m.n - 1} coefficients b_{{n-2}}..b_0, got {len(vals)}")
     assign = dict(zip(m.b_names, vals))
     pb = m.target.substitute({k: v for k, v in assign.items()})
     dpb = pb.differentiate("w")

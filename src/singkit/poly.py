@@ -658,9 +658,31 @@ def _uni_rem(a: Poly, b: Poly, name: str) -> Poly:
     return r
 
 
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, on coefficient
+    lists (index k holds the coefficient of name^k, the last is nonzero);
+    the result has no trailing zeros, so [] is the zero remainder."""
+    lead, db = b[-1], len(b) - 1
+    r = a[:]
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        if not c.is_zero():
+            for j in range(db):
+                r[top - db + j] = r[top - db + j] - c * b[j]
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
+
+
 def resultant(p: Poly, q: Poly, name: str) -> Poly:
-    """Sylvester resultant with respect to `name`; the result does not
-    involve `name`."""
+    """Resultant with respect to `name`, the determinant of the Sylvester
+    matrix of p and q (p's rows first); the result does not involve `name`.
+
+    Computed by the subresultant pseudo-remainder sequence (Collins/Brown;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7):
+    every division in it is exact, so the coefficients in the other
+    variables stay polynomials and no Sylvester matrix is built."""
     dp, dq = p.degree_in(name), q.degree_in(name)
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant with a zero polynomial")
@@ -670,16 +692,28 @@ def resultant(p: Poly, q: Poly, name: str) -> Poly:
         return p ** dq
     if dq == 0:
         return q ** dp
-    pc = [p.coefficient_in(name, k) for k in range(dp, -1, -1)]
-    qc = [q.coefficient_in(name, k) for k in range(dq, -1, -1)]
-    size = dp + dq
-    zero = Poly.zero(p.vars)
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (size - i - dp - 1))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (size - i - dq - 1))
-    return PolyMatrix(rows).determinant()
+    a = [p.coefficient_in(name, k) for k in range(dp + 1)]
+    b = [q.coefficient_in(name, k) for k in range(dq + 1)]
+    # Res(q, p) = (-1)^(dp dq) Res(p, q), and each step of the sequence,
+    # from (a, b) to b and a's pseudo-remainder, brings one such sign
+    sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
+    if dp < dq:
+        a, b = b, a
+    g = h = Poly.const(p.vars, 1)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return Poly.zero(p.vars)
+        div = g * h ** delta
+        a, b = b, [c.exact_divide(div) for c in r]
+        g = a[-1]
+        h = (g ** delta).exact_divide(h ** (delta - 1)) if delta else h
+    da = len(a) - 1
+    res = (b[0] ** da).exact_divide(h ** (da - 1))
+    return res if sign == 1 else -res
 
 
 def discriminant(p: Poly, name: str) -> Poly:

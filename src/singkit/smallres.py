@@ -9,12 +9,12 @@ by plane-curve numbers: delta of g, r, and the Tjurina number of the
 threefold.  From those, b = delta - r counts independent exceptional
 cohomology classes and a = 2b + r - tau = mu - tau measures the failure
 of the singularity to admit a good torus action (a = 0 exactly for a
-quasi-homogeneous germ, by Saito).
+quasi-homogeneous germ, by Saito, so a == 0 is the exact test and no
+weights are searched for).
 
 Every number is computed on g: df/dx = 2x, df/dy = 2y and f = g mod
 (x, y) give (f, df) = (x, y, g, dg), so O_4/(f, df) = O_2/(g, dg) and
-tau(f) = tau(g); likewise mu(f) = mu(g).  f is quasi-homogeneous iff g
-is, with x and y at half the degree.
+tau(f) = tau(g); likewise mu(f) = mu(g).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, ConsistencyError
-from .localring import (
-    INFINITE,
-    milnor_number,
-    quasi_homogeneous_weights,
-    tjurina_number,
-)
+from .localring import INFINITE, milnor_number, tjurina_number
 from .poly import Poly, parse_polynomial, univariate_gcd
 
 
@@ -167,7 +162,7 @@ def suspension(s: SuspendedCurveGerm) -> Poly:
 def small_res_report(s: SuspendedCurveGerm):
     """Compute the invariant package plus its named consistency checks.
 
-    tau, mu and the weights test run on g (module docstring); mu is read
+    tau and mu are computed on g (module docstring); mu is read
     back from delta = (mu + branches - 1) / 2, and r = branches - 1.
     delta = b + r, tau = 2b - a + r and tau = b11 + b21 + ell21 hold by
     definition, b + r <= tau <= 2b + r is a <= b and a >= 0, and
@@ -175,7 +170,7 @@ def small_res_report(s: SuspendedCurveGerm):
     can fail are checked, each once.  A custom germ's branch count is
     user data, so it is checked against Katz's condition
     branches == ord g; the named families meet it by construction.
-    Returns (invariants, checks, warnings) without raising on a failed
+    Returns (invariants, checks) without raising on a failed
     check; each check is a dict with name/expected/actual/pass.
     """
     tau = tjurina_number(s.g)
@@ -219,20 +214,13 @@ def small_res_report(s: SuspendedCurveGerm):
     if s.family is Family.A1_TIMES:
         chk("delta == n", delta, s.n)
         chk("tau == 2*n - 1", tau, 2 * s.n - 1)
-
-    warnings = []
-    if (quasi_homogeneous_weights(s.g) is not None) != (a == 0):
-        warnings.append(
-            "quasi-homogeneity detector disagrees with a == 0; the detector is "
-            "coordinate-sensitive, so this can be a coordinate artifact"
-        )
-    return inv, checks, warnings
+    return inv, checks
 
 
 def small_res_invariants(s: SuspendedCurveGerm) -> SmallResInvariants:
     """The invariant package; raises ConsistencyError on the first
     relation of small_res_report that fails."""
-    inv, checks, _ = small_res_report(s)
+    inv, checks = small_res_report(s)
     for c in checks:
         if not c["pass"]:
             raise ConsistencyError(

@@ -123,7 +123,7 @@ def test_acceptance_3_invariant_packages():
         {"g": "z^2 + w^2", "family": "a1_times", "n": 1}))
     ok &= odp.b == 0 and odp.is_odp
     for d in SUSPENSION_GERMS + [DEFORMED_GERM]:
-        inv, checks, _ = small_res_report(germ_from_dict(d))
+        inv, checks = small_res_report(germ_from_dict(d))
         relations = (
             inv.delta == inv.b + inv.r
             and inv.tau == 2 * inv.b - inv.a + inv.r

@@ -37,7 +37,7 @@ def test_build_small_cases():
 
 
 def test_build_rejects_degree_below_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="degree n must be an integer >= 2"):
         build(1)
 
 
@@ -76,6 +76,21 @@ def test_jacobian_identity_never_runs_bareiss(monkeypatch):
     monkeypatch.setattr(poly, "_det_bareiss", refuse)
     for n in range(2, DEGREE_LIMIT + 1):
         assert jacobian_identity(build(n)).matches, n
+
+
+def test_fiber_count_never_builds_a_sylvester_matrix(monkeypatch):
+    # the discriminant's resultant runs the subresultant remainder sequence;
+    # a Sylvester determinant took 0.65 s at DEGREE_LIMIT
+    def refuse(*args):
+        raise AssertionError("a determinant ran under fiber_count")
+
+    monkeypatch.setattr(poly.PolyMatrix, "determinant", refuse)
+    monkeypatch.setattr(poly, "_det_bareiss", refuse)
+    rng = random.Random(24)
+    for n in range(2, DEGREE_LIMIT + 1):
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
+        fib = fiber_count(build(n), b)
+        assert (fib.count == n) == (fib.discriminant != 0), n
 
 
 def test_reduce_mod_monic():
@@ -132,7 +147,7 @@ def test_fiber_points_map_back():
 
 
 def test_fiber_count_validates_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="need 2 coefficients"):
         fiber_count(build(3), [1, 2, 3])
 
 

@@ -49,8 +49,8 @@ GERMS = {
     "inconsistent": {"g": "z^5 - w^5", "family": "custom", "branches": 3},
     # mu + branches - 1 is odd: ConsistencyError (exit 1)
     "parity": {"g": "z^5 - w^5", "family": "custom", "branches": 4},
-    # an A3 curve plus a higher term: every check passes, the weights
-    # detector warns (exit 0)
+    # an A3 curve plus a higher term: every check passes and a = 0, with
+    # no weights in these coordinates (exit 0)
     "a3": {"g": "z^2 - w^4 + z^2*w^2", "family": "custom", "branches": 2},
 }
 
@@ -150,7 +150,7 @@ DIGESTS = {
     "milnor-non-isolated": "0152be086bcefed025a8038ade61e8ebc1e1d286863bbb49e5fe92fb0dbc8400",  # exit 0
     "milnor-vars": "6103998fb2ea9570f53511fe0e6920648a5c040eacc724f3988db4dbdea257e7",  # exit 0
     "smallres-a1": "912bf6b510755640847a85b7c08cea01edf2b096e0541198d12d275da6b354fe",  # exit 0
-    "smallres-a3": "64680aa53b639281e54501577ae70495a053f798acc5dc48b0838eed87021223",  # exit 0
+    "smallres-a3": "4fac79bbe2bc689fe7a932553f35ab4e1730e2beb12ca4d6e691f7d491117235",  # exit 0
     "smallres-custom": "2689556523a51940fe1636748e233d62cc012c6d45ecb3ab888194141d778b6c",  # exit 0
     "smallres-inconsistent": "76cea54a2f5669aab9c73d3769699c78e936b3b33fab50b0904c8834812bc758",  # exit 1
     "smallres-lines": "d7ee366044791c3568651cb5f39a01217caaee7a6699e94feff5c8ad3c9a5bff",  # exit 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singkit.defspace import DEGREE_LIMIT
 from singkit.errors import ParseError
 from singkit.poly import (
     PARSE_WORK_LIMIT,
@@ -406,3 +407,84 @@ def test_resultant_of_coprime_is_nonzero():
     r = resultant(p, q, "w")
     assert not r.is_zero()
     assert r.total_degree() == 0
+
+
+def test_resultant_of_two_constants_is_one():
+    V = ("w", "y")
+    assert resultant(P("3*y", V), P("2", V), "w") == Poly.const(V, 1)
+
+
+@pytest.mark.parametrize("n", range(2, DEGREE_LIMIT + 1))
+def test_discriminant_closed_forms(n):
+    # disc(w^n + c) = (-1)^(n(n-1)/2) n^n c^(n-1) and
+    # disc(w^n + b*w + c) = (-1)^(n(n-1)/2) (n^n c^(n-1) + (-1)^(n-1) (n-1)^(n-1) b^n),
+    # with b and c symbolic and at rational values
+    V = ("w", "b", "c")
+    w, b, c = (Poly.var(V, v) for v in V)
+    sign = (-1) ** (n * (n - 1) // 2)
+    assert discriminant(w**n + c, "w") == sign * n**n * c ** (n - 1)
+    want = sign * (n**n * c ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * b**n)
+    assert discriminant(w**n + b * w + c, "w") == want
+    rng = random.Random(n)
+    for _ in range(3):
+        at = {"w": 0, "b": Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+              "c": Fraction(rng.randint(-9, 9), rng.randint(1, 5))}
+        pb = (w**n + b * w + c).substitute({k: at[k] for k in "bc"})
+        assert discriminant(pb, "w") == Poly.const(V, want.evaluate(at))
+
+
+def _sylvester_matrix_resultant(p, q, name):
+    """det of the Sylvester matrix of p and q in `name`, p's rows first,
+    by PolyMatrix.determinant."""
+    dp, dq = p.degree_in(name), q.degree_in(name)
+    pc = [p.coefficient_in(name, k) for k in range(dp, -1, -1)]
+    qc = [q.coefficient_in(name, k) for k in range(dq, -1, -1)]
+    zero = Poly.zero(p.vars)
+    rows = [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)]
+    rows += [[zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)]
+    return PolyMatrix(rows).determinant()
+
+
+def _random_in(rng, amb, name, deg, symbolic):
+    """A polynomial of degree exactly `deg` in `name`, its coefficients
+    rational constants or, when symbolic, up to 2 terms in the other
+    variables of degree <= 1 in each; some coefficients below the lead are
+    zero."""
+    i = amb.index(name)
+    p = Poly.zero(amb)
+    for k in range(deg + 1):
+        if k < deg and rng.random() < 0.25:
+            continue
+        coeff = Poly.zero(amb)
+        while coeff.is_zero():
+            for _ in range(rng.randint(1, 2) if symbolic else 1):
+                e = [rng.randint(0, 1) if symbolic and j != i else 0 for j in range(len(amb))]
+                e[i] = k
+                coeff = coeff + Poly(amb, {tuple(e): Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
+        p = p + coeff
+    return p
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_resultant_matches_the_sylvester_determinant(symbolic):
+    # both degree orders, degree 0 on either side, and pairs with a common
+    # factor (resultant 0)
+    rng = random.Random(4103 + symbolic)
+    amb = ("w", "y", "z") if symbolic else ("w", "y")
+    top = 4 if symbolic else 10
+    zeros = 0
+    for i in range(60):
+        shared = i % 6 == 0  # a common linear factor takes one degree of each
+        dp, dq = rng.randint(0, top - shared), rng.randint(0, top - shared)
+        if dp == dq == 0:
+            dq = 1
+        p = _random_in(rng, amb, "w", dp, symbolic)
+        q = _random_in(rng, amb, "w", dq, symbolic)
+        if shared:
+            common = _random_in(rng, amb, "w", 1, symbolic)
+            p, q = p * common, q * common
+        res = resultant(p, q, "w")
+        assert res == _sylvester_matrix_resultant(p, q, "w"), (p, q)
+        assert res.degree_in("w") <= 0
+        zeros += res.is_zero()
+    assert zeros >= 5
