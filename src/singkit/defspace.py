@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .poly import Poly, _det_cofactor, _uni_rem, discriminant, univariate_gcd
+from .poly import Poly, _coeffs, _det_cofactor, _from_coeffs, _prem, _subresultants
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
 # and testing a candidate root with integer Horner is 2 steps per
@@ -35,10 +35,10 @@ from .poly import Poly, _det_cofactor, _uni_rem, discriminant, univariate_gcd
 ROOT_SEARCH_LIMIT = 2_000_000
 # Largest degree n that `build` accepts.  Measured in process (Python
 # 3.11.7, 2-core VM): defspace-verify's identities take 0.01 s at n = 14,
-# 0.04 s at n = 24 and 0.2 s at n = 40; fiber_count, whose discriminant
-# is a subresultant sequence, takes 0.01 s at n = 14, 0.014-0.03 s at
-# n = 24 and 0.04-0.23 s at n = 40 (b all ones, random b).  A higher
-# limit would need figures of its own, rational root search included.
+# 0.04 s at n = 24 and 0.18 s at n = 40; fiber_count, one subresultant
+# sequence, takes 0.003-0.005 s at n = 14, 0.006-0.016 s at n = 24 and
+# 0.014-0.051 s at n = 40 (b all ones, random b).  A higher limit would
+# need figures of its own, rational root search included.
 DEGREE_LIMIT = 24
 
 
@@ -141,14 +141,16 @@ def inverse_t(m: RootFactorMap) -> tuple:
 
 def reduce_mod_monic(p: Poly, modulus: Poly, name: str) -> Poly:
     """Remainder of p modulo a polynomial monic in `name` (coefficients
-    in the remaining variables); exact division-free reduction."""
+    in the remaining variables): its pseudo-remainder (`_prem`), which
+    for a monic modulus divides by nothing."""
     d = modulus.degree_in(name)
     if d < 1:
         raise ValueError("modulus must have positive degree")
     lead = modulus.coefficient_in(name, d)
     if not lead == Poly.const(modulus.vars, 1):
         raise ValueError("modulus must be monic")
-    return _uni_rem(p, modulus.in_ambient(p.vars), name)
+    r = _prem(_coeffs(p, name), _coeffs(modulus.in_ambient(p.vars), name))
+    return _from_coeffs(r, name, p.vars)
 
 
 def target_at_root(m: RootFactorMap) -> Poly:
@@ -217,25 +219,26 @@ class FiberResult:
 def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
     """Fiber of the map over a rational point b = (b_{n-2}, ..., b_0).
 
-    The fiber cardinality equals the number of distinct roots of
-    P(.; b): n minus the degree of gcd(P, P').  Rational roots are
-    returned as explicit fiber points with exact t coordinates."""
+    The fiber cardinality is the number of distinct roots of P(.; b),
+    n - deg gcd(P, P'); one subresultant sequence gives that gcd (up to a
+    constant) and disc(P) = (-1)^(n(n-1)/2) Res(P, P').  Rational roots
+    are fiber points, with t read off P / (w - lam) by synthetic division."""
     vals = [Fraction(v) for v in b_values]
     if len(vals) != m.n - 1:
         raise ConfigError(f"need {m.n - 1} coefficients b_{{n-2}}..b_0, got {len(vals)}")
-    assign = dict(zip(m.b_names, vals))
-    pb = m.target.substitute({k: v for k, v in assign.items()})
-    dpb = pb.differentiate("w")
-    g = univariate_gcd(pb, dpb, "w")
-    count = m.n - g.degree_in("w")
-    disc = discriminant(pb, "w").constant_term()
+    pb = m.target.substitute(dict(zip(m.b_names, vals)))
+    res, gcd = _subresultants(pb, pb.differentiate("w"), "w")
+    count = m.n - (len(gcd) - 1)
+    disc = res.constant_term() * (-1) ** (m.n * (m.n - 1) // 2)
 
-    inv = inverse_t(m)
     points = []
     for root in _rational_roots(pb, "w"):
-        point = {"lam": root, **assign}
-        ts = tuple(p.evaluate(point) for p in inv)
-        points.append(FiberPoint(lam=root, t=ts))
+        # Horner on P's 1, 0, b_{n-2}, ..., b_1 runs through Q's 1, root, t
+        acc, ts = root, []
+        for v in vals[:-1]:
+            acc = acc * root + v
+            ts.append(acc)
+        points.append(FiberPoint(lam=root, t=tuple(ts)))
     return FiberResult(
         count=count,
         is_generic=(count == m.n),

@@ -131,7 +131,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import LocalWorkLimitError
+from .errors import ConfigError, LocalWorkLimitError
 from .poly import Poly, _reduce_into
 
 INFINITE = float("inf")  # quotient dimension of a non-isolated singularity
@@ -717,10 +717,10 @@ def _germ_colength(f: Poly, name, with_f):
     content, and for tau first f's Euler remainder for the engine's
     weights, then, unless that is zero, f (see the module docstring)."""
     if f.is_zero():
-        raise ValueError(f"{name} of the zero polynomial is undefined")
+        raise ConfigError(f"{name} of the zero polynomial is undefined")
     origin = (0,) * len(f.vars)
     if origin in f.terms:
-        raise ValueError("germ must vanish at the origin")
+        raise ConfigError("germ must vanish at the origin")
     g = _primitive(f.terms)
     partials = [_content_free(d) for d in (
         {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in g.items() if e[i]}

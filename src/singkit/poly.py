@@ -626,42 +626,24 @@ def _reduce_into(pivots: dict, row: dict) -> None:
 
 # -- univariate tools ---------------------------------------------------------
 
-def univariate_gcd(p: Poly, q: Poly, name: str) -> Poly:
-    """Monic gcd of two polynomials univariate in `name` over Q."""
-    for f in (p, q):
-        if not f.is_univariate_in(name):
-            raise ValueError(f"{f} is not univariate in {name!r}")
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-
-    def monic(f: Poly) -> Poly:
-        lc = f.coefficient_in(name, f.degree_in(name)).constant_term()
-        return f * (1 / lc)
-
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _uni_rem(a, b, name)
-    return monic(a)
+def _coeffs(p: Poly, name: str) -> list:
+    """p's coefficients in `name`, lowest first, as the lists of `_prem`."""
+    i = p.vars.index(name)
+    out = [{} for _ in range(p.degree_in(name) + 1)]
+    for e, c in p.terms.items():
+        out[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    return [Poly._of(p.vars, t) for t in out]
 
 
-def _uni_rem(a: Poly, b: Poly, name: str) -> Poly:
-    """Remainder of a on division by b as polynomials in `name`.  The
-    leading coefficient of b in `name` must be a nonzero constant; the
-    other coefficients of a and b may involve the other variables."""
-    db = b.degree_in(name)
-    inv = 1 / b.coefficient_in(name, db).constant_term()
-    x = Poly.var(a.vars, name)
-    r = a
-    while not r.is_zero() and (dr := r.degree_in(name)) >= db:
-        # the quotient term is small, so scale it before multiplying by b
-        r = r - r.coefficient_in(name, dr) * x ** (dr - db) * inv * b
-    return r
+def _from_coeffs(cs: list, name: str, vars) -> Poly:
+    return sum((c * Poly.var(vars, name) ** k for k, c in enumerate(cs)), Poly.zero(vars))
 
 
 def _prem(a: list, b: list) -> list:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, on coefficient
     lists (index k holds the coefficient of name^k, the last is nonzero);
-    the result has no trailing zeros, so [] is the zero remainder."""
+    the result has no trailing zeros, so [] is the zero remainder.  For b
+    of leading coefficient 1 it is the remainder of a on division by b."""
     lead, db = b[-1], len(b) - 1
     r = a[:]
     for top in range(len(a) - 1, db - 1, -1):
@@ -675,25 +657,15 @@ def _prem(a: list, b: list) -> list:
     return r
 
 
-def resultant(p: Poly, q: Poly, name: str) -> Poly:
-    """Resultant with respect to `name`, the determinant of the Sylvester
-    matrix of p and q (p's rows first); the result does not involve `name`.
-
-    Computed by the subresultant pseudo-remainder sequence (Collins/Brown;
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7):
-    every division in it is exact, so the coefficients in the other
-    variables stay polynomials and no Sylvester matrix is built."""
-    dp, dq = p.degree_in(name), q.degree_in(name)
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant with a zero polynomial")
-    if dp == 0 and dq == 0:
-        return Poly.const(p.vars, 1)
-    if dp == 0:
-        return p ** dq
-    if dq == 0:
-        return q ** dp
-    a = [p.coefficient_in(name, k) for k in range(dp + 1)]
-    b = [q.coefficient_in(name, k) for k in range(dq + 1)]
+def _subresultants(p: Poly, q: Poly, name: str):
+    """Res(p, q) in `name` (`resultant`) and the last nonzero element S of
+    the subresultant pseudo-remainder sequence of nonzero p and q, as a
+    `_prem` list (Collins/Brown; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.3.7; every division is exact).  S is gcd(p, q) up
+    to a factor free of `name` (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 6), so Res = 0 iff S is not constant."""
+    a, b = _coeffs(p, name), _coeffs(q, name)
+    dp, dq = len(a) - 1, len(b) - 1
     # Res(q, p) = (-1)^(dp dq) Res(p, q), and each step of the sequence,
     # from (a, b) to b and a's pseudo-remainder, brings one such sign
     sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
@@ -706,14 +678,38 @@ def resultant(p: Poly, q: Poly, name: str) -> Poly:
             sign = -sign
         r = _prem(a, b)
         if not r:
-            return Poly.zero(p.vars)
+            return Poly.zero(p.vars), b
         div = g * h ** delta
         a, b = b, [c.exact_divide(div) for c in r]
         g = a[-1]
         h = (g ** delta).exact_divide(h ** (delta - 1)) if delta else h
+    # b is a nonzero constant; da = 0 only for two constants, of Res 1
     da = len(a) - 1
-    res = (b[0] ** da).exact_divide(h ** (da - 1))
-    return res if sign == 1 else -res
+    res = (b[0] ** da).exact_divide(h ** max(da - 1, 0))
+    return (res if sign == 1 else -res), b
+
+
+def univariate_gcd(p: Poly, q: Poly, name: str) -> Poly:
+    """Monic gcd of two polynomials univariate in `name` over Q: the last
+    nonzero element of their subresultant sequence (`_subresultants`),
+    made monic; gcd(p, 0) is p made monic."""
+    for f in (p, q):
+        if not f.is_univariate_in(name):
+            raise ValueError(f"{f} is not univariate in {name!r}")
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    s = _coeffs(p + q, name) if p.is_zero() or q.is_zero() else _subresultants(p, q, name)[1]
+    inv = 1 / s[-1].constant_term()
+    return _from_coeffs([c * inv for c in s], name, p.vars)
+
+
+def resultant(p: Poly, q: Poly, name: str) -> Poly:
+    """Resultant with respect to `name`, the determinant of the Sylvester
+    matrix of p and q (p's rows first), read off their subresultant
+    sequence (`_subresultants`) without building that matrix."""
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant with a zero polynomial")
+    return _subresultants(p, q, name)[0]
 
 
 def discriminant(p: Poly, name: str) -> Poly:

@@ -108,7 +108,7 @@ def plane_delta_invariant(g: Poly, branches: int) -> int:
         raise ValueError("branch count must be positive")
     mu = milnor_number(g)
     if mu == INFINITE:
-        raise ValueError("plane curve is not reduced (non-isolated singularity)")
+        raise ConfigError("plane curve is not reduced (non-isolated singularity)")
     if (mu + branches - 1) % 2:
         raise ConsistencyError(
             "delta parity",
@@ -175,7 +175,7 @@ def small_res_report(s: SuspendedCurveGerm):
     """
     tau = tjurina_number(s.g)
     if tau == INFINITE:
-        raise ValueError("suspended germ has a non-isolated singularity")
+        raise ConfigError("suspended germ has a non-isolated singularity")
     r = s.branch_count - 1
     delta = plane_delta_invariant(s.g, s.branch_count)
     mu = 2 * delta - r

@@ -221,6 +221,24 @@ def test_defspace_past_its_limits_exits_2_at_once(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, germ, message", [
+    (["tjurina", "0"], None, "Tjurina number of the zero polynomial is undefined"),
+    (["milnor", "1+x^2"], None, "germ must vanish at the origin"),
+    (["smallres"], {"g": "z^2", "family": "custom", "branches": 1},
+     "suspended germ has a non-isolated singularity"),
+])
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, germ, message):
+    # each is a ConfigError raised where the input is first seen
+    if germ is not None:
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(germ))
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _b2_inputs(tmp_path, config):
     """argv of dualcomplex-invariants and of corpus on one configuration."""
     path = tmp_path / "config.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from singkit import poly
+from singkit import defspace, poly
 from singkit.defspace import (
     DEGREE_LIMIT,
     apply_map,
@@ -79,18 +79,60 @@ def test_jacobian_identity_never_runs_bareiss(monkeypatch):
 
 
 def test_fiber_count_never_builds_a_sylvester_matrix(monkeypatch):
-    # the discriminant's resultant runs the subresultant remainder sequence;
-    # a Sylvester determinant took 0.65 s at DEGREE_LIMIT
+    # one subresultant sequence of (P, P') gives the count and disc(P), at
+    # most n - 1 pseudo-remainders; a Sylvester determinant took 0.65 s at
+    # DEGREE_LIMIT, and the t of a point come from synthetic division, not
+    # from the symbolic inverse_t
     def refuse(*args):
-        raise AssertionError("a determinant ran under fiber_count")
+        raise AssertionError("a determinant or inverse_t ran under fiber_count")
 
     monkeypatch.setattr(poly.PolyMatrix, "determinant", refuse)
     monkeypatch.setattr(poly, "_det_bareiss", refuse)
+    monkeypatch.setattr(defspace, "inverse_t", refuse)
+    prems = []
+    prem = poly._prem
+    monkeypatch.setattr(poly, "_prem", lambda a, b: prems.append(1) or prem(a, b))
     rng = random.Random(24)
     for n in range(2, DEGREE_LIMIT + 1):
-        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
-        fib = fiber_count(build(n), b)
-        assert (fib.count == n) == (fib.discriminant != 0), n
+        random_b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
+        # w^n - w^(n-2) = w^(n-2) (w - 1)(w + 1): a repeated root when n > 3
+        for b in (random_b, [-1] + [0] * (n - 2)):
+            prems.clear()
+            fib = fiber_count(build(n), b)
+            assert (fib.count == n) == (fib.discriminant != 0), n
+            assert len(prems) <= n - 1, (n, b)
+        assert [p.lam for p in fib.points] == ([-1, 1] if n == 2 else [-1, 0, 1]), n
+
+
+def _b_of_roots(roots):
+    """b_{n-2}, ..., b_0 of P = prod(w - r) for roots summing to zero."""
+    coeffs = [Fraction(1)]  # of P, highest degree first
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    assert coeffs[1] == 0
+    return coeffs[2:]
+
+
+@pytest.mark.parametrize("n", range(2, DEGREE_LIMIT + 1))
+def test_fiber_point_t_is_inverse_t_at_the_point(n):
+    # the synthetic division of P by (w - lam) gives the t of the symbolic
+    # inverse, evaluated at (lam, b); the roots repeat, so gcd(P, P') and
+    # the zero discriminant are exercised too
+    rng = random.Random(2800 + n)
+    m = build(n)
+    inv = inverse_t(m)
+    for _ in range(3):
+        pool = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+        roots = [rng.choice(pool) for _ in range(n - 1)]
+        roots.append(-sum(roots))
+        b = _b_of_roots(roots)
+        fib = fiber_count(m, b)
+        assert fib.count == len(set(roots))
+        assert (fib.discriminant == 0) == (len(set(roots)) < n)
+        assert [p.lam for p in fib.points] == sorted(set(roots))
+        for pt in fib.points:
+            point = {"lam": pt.lam, **dict(zip(m.b_names, b))}
+            assert pt.t == tuple(t.evaluate(point) for t in inv), (roots, pt.lam)
 
 
 def test_reduce_mod_monic():
@@ -182,10 +224,7 @@ def test_fiber_points_are_the_rational_roots_put_in():
         for _ in range(10):
             roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
             roots.append(-sum(roots))
-            coeffs = [Fraction(1)]  # of P, highest degree first
-            for r in roots:
-                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-            fib = fiber_count(m, coeffs[2:])
+            fib = fiber_count(m, _b_of_roots(roots))
             assert [p.lam for p in fib.points] == sorted(set(roots)), roots
 
 

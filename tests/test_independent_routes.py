@@ -113,24 +113,57 @@ def test_weights_match_sympy_lp():
     assert min(seen.values()) >= 10, seen
 
 
+def _sparse_poly(vars, rng, degree):
+    """w^degree, times a small rational, plus one to three lower powers of
+    w: two of them often have remainders whose degrees drop by 2 or more."""
+    w = Poly.var(vars, "w")
+    p = Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2)) * w ** degree
+    for k in rng.sample(range(degree), min(degree, rng.randint(1, 3))):
+        p = p + Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3)) * w ** k
+    return p
+
+
+def _has_gap(p, q, w):
+    """Some remainder of Euclid's sequence from (p, q) is 2 or more degrees
+    below the one before it: an abnormal subresultant sequence."""
+    a, b = sympy.Poly(p, w), sympy.Poly(q, w)
+    while not b.is_zero:
+        a, b = b, a.rem(b)
+        if not b.is_zero and a.degree() - b.degree() >= 2:
+            return True
+    return False
+
+
 def test_gcd_and_remainder_match_sympy():
     rng = random.Random(9)
     w = sympy.Symbol("w")
     lam = sympy.Symbol("lam")
-    for _ in range(40):
+    seen = {"gap": 0, "constant": 0, "zero": 0, "lower degree": 0}
+    for i in range(200):
         amb = ("w",)
-        common = _random_poly(amb, rng, rng.randint(0, 2))
-        p = common * _random_poly(amb, rng, rng.randint(0, 3))
-        q = common * _random_poly(amb, rng, rng.randint(1, 3))
+        make = _sparse_poly if i % 2 else _random_poly
+        common = _random_poly(amb, rng, rng.randint(0, 3))
+        p = common * make(amb, rng, rng.randint(0, 9))
+        q = common * make(amb, rng, rng.randint(1, 9))
+        if i % 10 == 3:
+            q = Poly.const(amb, rng.choice((-2, 1, Fraction(3, 4))))
+            seen["constant"] += 1
+        elif i % 10 == 7:
+            p, q = (Poly.zero(amb), q) if i % 20 == 7 else (p, Poly.zero(amb))
+            seen["zero"] += 1
+        elif _has_gap(S(p), S(q), w):
+            seen["gap"] += 1
         g = univariate_gcd(p, q, "w")
         want = sympy.Poly(sympy.gcd(S(p), S(q)), w).monic().as_expr()
         assert sympy.expand(S(g) - want) == 0, (p, q)
 
         amb = ("lam", "b1", "b0")
-        mod = _random_poly(amb, rng, rng.randint(1, 3), main="lam", monic=True)
-        p = _random_poly(amb, rng, rng.randint(0, 6), main="lam")
+        mod = _random_poly(amb, rng, rng.randint(1, 4), main="lam", monic=True)
+        p = _random_poly(amb, rng, rng.randint(0, 8), main="lam")
+        seen["lower degree"] += p.degree_in("lam") < mod.degree_in("lam")
         r = reduce_mod_monic(p, mod, "lam")
         assert sympy.expand(S(r) - sympy.rem(S(p), S(mod), lam)) == 0, (p, mod)
+    assert min(seen.values()) >= 20, seen
 
 
 def _sylvester_det(p, q, x):

@@ -356,6 +356,9 @@ def test_univariate_gcd_examples():
         == parse_polynomial("w-1", w)
     assert univariate_gcd(parse_polynomial("w^3+w-2", w),
                           parse_polynomial("3*w^2+1", w), "w") == Poly.const(w, 1)
+    # the remainders of w^6 - 1 and w^4 - 1 go from degree 4 to 2: a gap
+    assert univariate_gcd(parse_polynomial("w^6-1", w), parse_polynomial("w^4-1", w), "w") \
+        == parse_polynomial("w^2-1", w)
     # gcd with zero is the monic normalization of the other argument
     assert univariate_gcd(parse_polynomial("2*w^2-2", w), Poly.zero(w), "w") \
         == parse_polynomial("w^2-1", w)

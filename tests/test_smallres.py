@@ -135,7 +135,7 @@ def test_delta_parity_guard():
 
 
 def test_delta_rejects_non_reduced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^plane curve is not reduced"):
         plane_delta_invariant(G("z^2"), 1)
 
 
@@ -179,7 +179,7 @@ def test_report_matches_the_four_variable_route():
             d.update(branches=rng.choice([k for k in range(1, 5) if (mu + k) % 2]))
             germ = germ_from_dict(d)
         if tau == INFINITE:
-            with pytest.raises(ValueError, match="non-isolated"):
+            with pytest.raises(ConfigError, match="^suspended germ has a non-isolated singularity$"):
                 small_res_report(germ)
             continue
         inv, _ = small_res_report(germ)
