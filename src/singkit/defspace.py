@@ -34,11 +34,11 @@ from .poly import Poly, _coeffs, _det_cofactor, _from_coeffs, _prem, _subresulta
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
 # Largest degree n that `build` accepts.  Measured in process (Python
-# 3.11.7, 2-core VM): defspace-verify's identities take 0.01 s at n = 14,
-# 0.04 s at n = 24 and 0.18 s at n = 40; fiber_count, one subresultant
-# sequence, takes 0.003-0.005 s at n = 14, 0.006-0.016 s at n = 24 and
-# 0.014-0.051 s at n = 40 (b all ones, random b).  A higher limit would
-# need figures of its own, rational root search included.
+# 3.11.7, 2-core VM): defspace-verify's identities take 0.004 s at n = 14,
+# 0.022 s at n = 24 and 0.13 s at n = 40; fiber_count, one subresultant
+# sequence, takes 0.001-0.004 s at n = 14, 0.003-0.015 s at n = 24 and
+# 0.006-0.054 s at n = 40 (b all ones, random rational b).  A higher limit
+# would need figures of its own, rational root search included.
 DEGREE_LIMIT = 24
 
 
@@ -149,6 +149,8 @@ def reduce_mod_monic(p: Poly, modulus: Poly, name: str) -> Poly:
     lead = modulus.coefficient_in(name, d)
     if not lead == Poly.const(modulus.vars, 1):
         raise ValueError("modulus must be monic")
+    if p.degree_in(name) < d:  # the zero polynomial included
+        return p
     r = _prem(_coeffs(p, name), _coeffs(modulus.in_ambient(p.vars), name))
     return _from_coeffs(r, name, p.vars)
 
@@ -192,7 +194,7 @@ def jacobian_identity(m: RootFactorMap) -> JacobianResult:
     # One dense lam row over a bidiagonal block of 1 and -lam: cofactor
     # expansion skips the zeros and grows polynomially in n, while the
     # Bareiss elimination of PolyMatrix.determinant fills in the whole
-    # matrix (0.94 s against 44 ms at n = 24).
+    # matrix (0.21 s against 17 ms at n = 24).
     det = _det_cofactor(rows)
     q_at = m.cofactor.substitute({"w": Poly.var(mv, "lam")})
     if det == q_at:

@@ -432,8 +432,7 @@ class LocalIdeal:
 
     @cached_property
     def generators(self):
-        return tuple(Poly._of(self.vars, {e: Fraction(c) for e, c in g.items()})
-                     for g in self._primitives)
+        return tuple(Poly._of(self.vars, dict(g)) for g in self._primitives)
 
     @cached_property
     def _primitives(self):
@@ -491,8 +490,8 @@ class StandardBasis:
 
     @cached_property
     def basis(self):
-        return tuple(Poly._of(self.vars, {_exponent(k): Fraction(c, terms[lead])
-                                          for k, c in terms.items()})
+        return tuple(Poly(self.vars, {_exponent(k): Fraction(c, terms[lead])
+                                      for k, c in terms.items()})
                      for lead, terms in self._minimal)
 
     @cached_property

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a dict from exponent tuples to nonzero Fractions over a
-fixed ordered tuple of variable names (the ambient).  All arithmetic is
-exact; floats are never accepted.  Printing uses graded lexicographic
-term order (descending) and the printed form parses back to an equal
-polynomial.
+A polynomial is a dict from exponent tuples to nonzero coefficients, ints
+where integral and Fractions otherwise, over a fixed ordered tuple of
+variable names (the ambient).  All arithmetic is exact; floats are never
+accepted.  Numbers handed out (`constant_term`, `evaluate`) are Fractions.
+Printing uses graded lexicographic term order (descending) and the
+printed form parses back to an equal polynomial.
 
 Input grammar (whitespace insignificant)::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ParseError
@@ -29,30 +31,48 @@ from .errors import ParseError
 Exps = tuple  # exponent tuple, one nonnegative int per ambient variable
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c):
+    """c as a stored coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _canonical(terms: dict) -> dict:
+    """terms with each integral Fraction replaced in place by its numerator."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _ambient(vars) -> tuple:
+    vs = tuple(vars)
+    if len(set(vs)) != len(vs):
+        raise ValueError("duplicate variable names in ambient")
+    return vs
 
 
 class Poly:
     """Immutable-by-convention sparse polynomial over Q.
 
     Invariant: `vars` is a tuple of distinct names, every key of `terms`
-    is a tuple of len(vars) nonnegative ints, and every value is a nonzero
-    Fraction.  The constructor checks it on input from outside; results
-    of the arithmetic below are built from operands that hold it and keep
-    it, so they skip the check (`_of`).
+    is a tuple of len(vars) nonnegative ints, and every value is nonzero:
+    an int when it is integral, else a Fraction (`_coerce`).  Equality and
+    hashing do not see the difference, since Fraction(3) == 3 and the two
+    hash alike.  The constructor checks and normalizes input from outside;
+    results of the arithmetic below are built from operands that hold the
+    invariant and keep it, so they skip the check (`_of`).
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: Iterable[str], terms: Mapping[Exps, Fraction] | None = None):
-        vs = tuple(vars)
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable names in ambient")
+    def __init__(self, vars: Iterable[str], terms: Mapping[Exps, int | Fraction] | None = None):
+        vs = _ambient(vars)
         self.vars = vs
         clean = {}
         if terms:
@@ -85,17 +105,17 @@ class Poly:
 
     @classmethod
     def const(cls, vars, c) -> "Poly":
-        vs = tuple(vars)
-        return cls(vs, {(0,) * len(vs): _coerce(c)})
+        vs, c = _ambient(vars), _coerce(c)
+        return cls._of(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def var(cls, vars, name: str) -> "Poly":
-        vs = tuple(vars)
+        vs = _ambient(vars)
         if name not in vs:
             raise ValueError(f"unknown variable {name!r} for ambient {vs}")
         e = [0] * len(vs)
         e[vs.index(name)] = 1
-        return cls(vs, {tuple(e): Fraction(1)})
+        return cls._of(vs, {tuple(e): 1})
 
     # -- basic queries ---------------------------------------------------
 
@@ -103,7 +123,7 @@ class Poly:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
     def total_degree(self) -> int:
         """Max total degree of the terms; -1 for the zero polynomial."""
@@ -142,8 +162,10 @@ class Poly:
         if self.vars != other.vars:
             raise ValueError(f"ambient mismatch: {self.vars} vs {other.vars}")
 
+    # operators test for a Poly first: isinstance(x, Fraction) runs the ABC
+    # machinery of numbers.Rational, about 25 times slower
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         self._check_same(other)
         out = dict(self.terms)
@@ -153,7 +175,7 @@ class Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Poly._of(self.vars, out)
+        return Poly._of(self.vars, _canonical(out))
 
     __radd__ = __add__
 
@@ -161,52 +183,50 @@ class Poly:
         return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             c = _coerce(other)
             if not c:
                 return Poly._of(self.vars, {})
-            return Poly._of(self.vars, {e: c * v for e, v in self.terms.items()})
+            return Poly._of(self.vars, _canonical({e: c * v for e, v in self.terms.items()}))
         self._check_same(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Poly._of(self.vars, out)
+        return Poly._of(self.vars, _canonical(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if not self.terms:
-            return self if k else Poly.const(self.vars, 1)
-        if len(self.terms) == 1:
+        if not k:
+            return Poly._of(self.vars, {(0,) * len(self.vars): 1})
+        if len(self.terms) <= 1:
             # one term needs no expansion, so x^99999999 costs nothing
-            ((e, c),) = self.terms.items()
-            return Poly._of(self.vars, {tuple(k * x for x in e): c ** k})
-        out = Poly.const(self.vars, 1)
-        for _ in range(k):
+            return Poly._of(self.vars, {tuple(k * x for x in e): c ** k
+                                        for e, c in self.terms.items()})
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.vars, other)
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -222,7 +242,7 @@ class Poly:
                 continue
             d = e[:i] + (e[i] - 1,) + e[i + 1:]
             out[d] = c * e[i]
-        return Poly._of(self.vars, out)
+        return Poly._of(self.vars, _canonical(out))
 
     def substitute(self, mapping: Mapping[str, "Poly | int | Fraction"]) -> "Poly":
         """Substitute polynomials (or constants) for variables.
@@ -251,14 +271,24 @@ class Poly:
                 images.append(Poly.var(target, v))  # raises if v missing from target
             else:
                 images.append(None)  # never consumed
-        out = Poly.zero(target)
+        one = Poly.const(target, 1)
+        powers = {}  # (variable index, k) -> its image ** k, made once
+        out = {}
         for e, c in self.terms.items():
-            part = Poly.const(target, c)
-            for img, k in zip(images, e):
+            part = one
+            for i, k in enumerate(e):
                 if k:
-                    part = part * img**k
-            out = out + part
-        return out
+                    pk = powers.get((i, k))
+                    if pk is None:
+                        pk = powers[i, k] = images[i] ** k
+                    part = pk if part is one else part * pk
+            for t, v in part.terms.items():
+                s = out.get(t, 0) + c * v
+                if s:
+                    out[t] = s
+                else:
+                    out.pop(t, None)
+        return Poly._of(target, _canonical(out))
 
     def in_ambient(self, vars) -> "Poly":
         """Re-express in a different ambient, matching variables by name;
@@ -316,10 +346,16 @@ class Poly:
             diff = tuple(a - b for a, b in zip(rlead, dlead))
             if any(x < 0 for x in diff):
                 raise ArithmeticError("polynomial division is not exact")
-            qc = rem[rlead] / dc
+            rc = rem[rlead]
+            if type(rc) is int and type(dc) is int:
+                qc, r = divmod(rc, dc)
+                if r:
+                    qc = Fraction(rc, dc)
+            else:
+                qc = _coerce(rc / dc)  # a Fraction on one side, so never a float
             quot[diff] = qc
             for e, c in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(diff, e))
+                t = tuple(map(add, diff, e))
                 s = rem.get(t, 0) - qc * c
                 if s:
                     rem[t] = s
@@ -449,7 +485,7 @@ class _Parser:
                     del out[e]
             kind, val, at = self.peek()
             if kind != "op" or val not in "+-":
-                return Poly._of(self.vars, out)
+                return Poly._of(self.vars, _canonical(out))
             self.next()
             sign = 1 if val == "+" else -1
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra and univariate division against sympy, an
-independent implementation: the shared sparse elimination, the weight
-solver, gcd and remainder, Sylvester determinants, rational roots and the
-Jacobian determinant of the root-splitting map.
+"""Exact arithmetic, linear algebra and univariate division against
+sympy, an independent implementation: Poly arithmetic and substitution,
+the shared sparse elimination, the weight solver, gcd and remainder,
+Sylvester determinants, rational roots and the Jacobian determinant of
+the root-splitting map.
 sympy is a test dependency only; without it this module is skipped."""
 
 import random
@@ -41,6 +42,49 @@ def _random_poly(vars, rng, degree, main="w", monic=False):
     lead = tuple(degree if j == i else 0 for j in range(len(vars)))
     terms[lead] = 1 if monic else Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))
     return Poly(vars, terms)
+
+
+def _mixed_poly(vars, rng):
+    """Up to five terms of degree at most 3 whose coefficients are ints,
+    integral Fractions such as 6/3, and Fractions such as 1/2, in turn."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 3 if i == 0 else 1) for i in range(len(vars)))
+        d = rng.choice((2, 3))
+        terms[e] = rng.choice((rng.randint(-5, 5), Fraction(d * rng.randint(-3, 3), d),
+                               Fraction(rng.randint(-5, 5), d)))
+    return Poly(vars, terms)
+
+
+def _canonical(p: Poly) -> bool:
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in p.terms.values())
+
+
+def test_arithmetic_and_substitution_match_sympy():
+    rng = random.Random(29)
+    amb = ("x", "y", "z")
+    seen = {"int": 0, "non-integral": 0}
+    for _ in range(150):
+        a, b = _mixed_poly(amb, rng), _mixed_poly(amb, rng)
+        k = rng.randint(0, 4)
+        # (a + b) - a cancels a's fractional parts against b's ints
+        got = {"+": a + b, "-": a - b, "+-": (a + b) - a, "*": a * b, "**": a ** k}
+        want = {"+": S(a) + S(b), "-": S(a) - S(b), "+-": S(b), "*": S(a) * S(b),
+                "**": S(a) ** k}
+        images = {"x": _mixed_poly(amb, rng), "y": rng.choice((2, Fraction(4, 2), Fraction(-1, 2)))}
+        got["subs"] = a.substitute(images)
+        want["subs"] = S(a).subs({sympy.Symbol(v): S(i) if isinstance(i, Poly) else i
+                                  for v, i in images.items()}, simultaneous=True)
+        if not b.is_zero():
+            got["div"] = (a * b).exact_divide(b)
+            want["div"] = S(a)
+        for op, p in got.items():
+            assert sympy.expand(S(p) - want[op]) == 0, (op, a, b)
+            assert _canonical(p), (op, p.terms)
+            for c in p.terms.values():
+                seen["int" if type(c) is int else "non-integral"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_shared_elimination_rank_matches_sympy():

@@ -215,9 +215,11 @@ def test_power_of_a_monomial_is_not_expanded():
 
 
 def _holds_invariant(p):
+    # a coefficient is an int when integral and a Fraction otherwise, never 0
     n = len(p.vars)
     return (type(p.vars) is tuple and len(set(p.vars)) == n
-            and all(type(c) is Fraction and c != 0 for c in p.terms.values())
+            and all((type(c) is int or type(c) is Fraction and c.denominator != 1)
+                    and c != 0 for c in p.terms.values())
             and all(type(e) is tuple and len(e) == n
                     and all(type(x) is int and x >= 0 for x in e) for e in p.terms))
 
@@ -237,6 +239,34 @@ def test_arithmetic_results_keep_the_invariant(a, b, c, k):
     for r in results:
         assert _holds_invariant(r), r.terms
         assert Poly(r.vars, r.terms) == r
+
+
+def test_integral_coefficients_are_stored_as_int():
+    x = (1, 0, 0, 0)
+    half_x = P("1/2*x")
+    a, b = P("3*x^2*y - 2*z + 7"), P("x - 5*w^3 + 1")
+    vs = ("x", "y")
+    for r in [half_x * 2, 2 * half_x, half_x + half_x, half_x * P("2"),
+              P("1/2*x^2").differentiate("x"), P("1/2*x + 1/2*x"), P("2/2*x"),
+              half_x.substitute({"x": P("2*x")}), P("1/3*x") ** 0 * P("x"),
+              P("1/2*x^2 + 1/2*x").exact_divide(P("1/2*x + 1/2"))]:
+        assert r == P("x") and type(r.terms[x]) is int, r.terms
+    assert all(type(c) is int for c in (a * b).exact_divide(b).terms.values())
+    assert (a * b).exact_divide(b) == a
+    assert P("x").exact_divide(P("2*x")).terms == {(0, 0, 0, 0): Fraction(1, 2)}
+    for two in (Poly.const(vs, Fraction(4, 2)), Poly(vs, {(1, 1): Fraction(6, 3)})):
+        assert [type(c) for c in two.terms.values()] == [int]
+        assert list(two.terms.values()) == [2]
+    assert _holds_invariant(Poly(vs, {(1, 0): True, (0, 1): Fraction(-3, 1)}))
+
+
+def test_numbers_handed_out_are_fractions():
+    for p in (P("x + 3"), P("x"), P("1/2"), Poly.zero(XYZW)):
+        assert type(p.constant_term()) is Fraction
+    assert P("x").constant_term() == 0
+    point = {"x": 2, "y": Fraction(1, 2), "z": 0, "w": Fraction(3)}
+    for p in (P("x*y + 2*w"), P("x^2 - 4"), P("1/3*y"), Poly.zero(XYZW)):
+        assert type(p.evaluate(point)) is Fraction
 
 
 @settings(max_examples=100, deadline=None)
