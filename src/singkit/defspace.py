@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .poly import Poly, _coeffs, _det_cofactor, _from_coeffs, _prem, _subresultants
+from .poly import Poly, _coeffs, _det, _from_coeffs, _prem, _subresultants
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
 # and testing a candidate root with integer Horner is 2 steps per
@@ -34,10 +34,10 @@ from .poly import Poly, _coeffs, _det_cofactor, _from_coeffs, _prem, _subresulta
 # step, so the slowest accepted search takes about 0.2 s.
 ROOT_SEARCH_LIMIT = 2_000_000
 # Largest degree n that `build` accepts.  Measured in process (Python
-# 3.11.7, 2-core VM): defspace-verify's identities take 0.004 s at n = 14,
-# 0.022 s at n = 24 and 0.13 s at n = 40; fiber_count, one subresultant
-# sequence, takes 0.001-0.004 s at n = 14, 0.003-0.015 s at n = 24 and
-# 0.006-0.054 s at n = 40 (b all ones, random rational b).  A higher limit
+# 3.11.7, 2-core VM): defspace-verify's identities take 0.002 s at n = 14,
+# 0.005 s at n = 24 and 0.015 s at n = 40; fiber_count, one subresultant
+# sequence, takes 0.001-0.003 s at n = 14, 0.003-0.009 s at n = 24 and
+# 0.007-0.031 s at n = 40 (b all ones, random rational b).  A higher limit
 # would need figures of its own, rational root search included.
 DEGREE_LIMIT = 24
 
@@ -69,37 +69,34 @@ class RootFactorMap:
         return _t_names(self.n)
 
 
+def _exps(size, *powers):
+    """The exponent tuple of `size` variables with (index, power) pairs."""
+    e = [0] * size
+    for i, k in powers:
+        e[i] = k
+    return tuple(e)
+
+
 def build(n: int) -> RootFactorMap:
     if not isinstance(n, int) or n < 2:
         raise ConfigError("degree n must be an integer >= 2")
     if n > DEGREE_LIMIT:
         raise ConfigError(f"degree n = {n} too large (over {DEGREE_LIMIT})")
-    bs = _b_names(n)
+    # P, Q and the components as term dicts over the ambients that
+    # RootFactorMap's fields name; index 0 is w in P and Q, lam in the map
+    target = {_exps(n, (0, n)): 1}
+    cofactor = {_exps(n, (0, n - 1)): 1, _exps(n, (0, n - 2), (1, 1)): 1}
+    comps = [{_exps(n - 1, (0, 2)): -1}]
+    for i in range(n - 1):
+        target[_exps(n, (0, n - 2 - i), (1 + i, 1))] = 1
+    for i in range(n - 2):
+        cofactor[_exps(n, (0, n - 3 - i), (2 + i, 1))] = 1
+        comps[-1][_exps(n - 1, (1 + i, 1))] = 1
+        comps.append({_exps(n - 1, (0, 1), (1 + i, 1)): -1})
     ts = _t_names(n)
-
-    pv = ("w",) + bs
-    w = Poly.var(pv, "w")
-    target = w**n
-    for i, name in enumerate(bs):
-        target = target + Poly.var(pv, name) * w ** (n - 2 - i)
-
-    qv = ("w", "lam") + ts
-    wq = Poly.var(qv, "w")
-    cofactor = wq ** (n - 1) + Poly.var(qv, "lam") * wq ** (n - 2)
-    for i, name in enumerate(ts):
-        cofactor = cofactor + Poly.var(qv, name) * wq ** (n - 3 - i)
-
-    mv = ("lam",) + ts
-    lam = Poly.var(mv, "lam")
-    t = [Poly.var(mv, name) for name in ts]
-    comps = []
-    if n == 2:
-        comps.append(-(lam**2))
-    else:
-        comps.append(-(lam**2) + t[0])
-        for k in range(len(ts) - 1):
-            comps.append(-lam * t[k] + t[k + 1])
-        comps.append(-lam * t[-1])
+    target = Poly._of(("w",) + _b_names(n), target)
+    cofactor = Poly._of(("w", "lam") + ts, cofactor)
+    comps = [Poly._of(("lam",) + ts, c) for c in comps]
     return RootFactorMap(n=n, target=target, cofactor=cofactor, components=tuple(comps))
 
 
@@ -127,14 +124,12 @@ def inverse_t(m: RootFactorMap) -> tuple:
 
     returned in the order t_{n-3}, ..., t_0 over ("lam", b...).  Empty
     for n = 2, where the map has no t coordinates."""
-    n = m.n
     ring = ("lam",) + m.b_names
     lam = Poly.var(ring, "lam")
-    out = []
-    for i in range(n - 3, -1, -1):
-        acc = lam ** (n - 1 - i)
-        for j in range(i + 1, n - 1):
-            acc = acc + Poly.var(ring, f"b{j}") * lam ** (j - i - 1)
+    # Horner: t_{n-2} = lam is Q's next coefficient, t_{i-1} = lam t_i + b_i
+    acc, out = lam, []
+    for i in range(m.n - 3, -1, -1):
+        acc = lam * acc + Poly.var(ring, f"b{i + 1}")
         out.append(acc)
     return tuple(out)
 
@@ -191,11 +186,11 @@ def jacobian_identity(m: RootFactorMap) -> JacobianResult:
     rows = []
     for v in mv:
         rows.append([comp.differentiate(v) for comp in m.components])
-    # One dense lam row over a bidiagonal block of 1 and -lam: cofactor
-    # expansion skips the zeros and grows polynomially in n, while the
-    # Bareiss elimination of PolyMatrix.determinant fills in the whole
-    # matrix (0.21 s against 17 ms at n = 24).
-    det = _det_cofactor(rows)
+    # One dense lam row over a bidiagonal block of 1 and -lam: `_det` takes
+    # the n - 2 unit pivots of that block, one product each, and never
+    # reaches Bareiss, which would fill the block in (0.22 s against 1 ms at
+    # n = 24).
+    det = _det(rows)
     q_at = m.cofactor.substitute({"w": Poly.var(mv, "lam")})
     if det == q_at:
         return JacobianResult(True, 1, det, q_at)
@@ -229,9 +224,13 @@ def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
     if len(vals) != m.n - 1:
         raise ConfigError(f"need {m.n - 1} coefficients b_{{n-2}}..b_0, got {len(vals)}")
     pb = m.target.substitute(dict(zip(m.b_names, vals)))
-    res, gcd = _subresultants(pb, pb.differentiate("w"), "w")
+    # the sequence runs on ints for L P, L the lcm of b's denominators: the
+    # gcd keeps its degree, and Res(L P, L P') = L^(2n-1) Res(P, P')
+    scale = math.lcm(*(v.denominator for v in vals))
+    lp = pb * scale
+    res, gcd = _subresultants(lp, lp.differentiate("w"), "w")
     count = m.n - (len(gcd) - 1)
-    disc = res.constant_term() * (-1) ** (m.n * (m.n - 1) // 2)
+    disc = res.constant_term() / scale ** (2 * m.n - 1) * (-1) ** (m.n * (m.n - 1) // 2)
 
     points = []
     for root in _rational_roots(pb, "w"):

@@ -584,29 +584,50 @@ class PolyMatrix:
         self.vars = amb
 
     def determinant(self) -> Poly:
-        """Exact determinant: cofactor expansion up to 4x4, fraction-free
-        (Bareiss) elimination above that."""
+        """Exact determinant (`_det`)."""
         n, m = self.shape
         if n != m:
             raise ValueError(f"determinant of non-square {n}x{m} matrix")
-        if n <= 4:
-            return _det_cofactor(self.rows)
-        return _det_bareiss(self.rows)
+        return _det(self.rows)
 
 
-def _det_cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
+def _det(rows) -> Poly:
+    """Determinant of a square list of Poly rows.  Each step takes a nonzero
+    constant entry in a row with the fewest nonzeros as pivot, clears its
+    column from the other rows with Fraction multipliers, and drops its row
+    and column, so a sparse matrix costs products only where it has entries;
+    fraction-free (Bareiss) elimination finishes a block of two or more rows
+    with no constant entry left."""
     amb = rows[0][0].vars
-    acc = Poly.zero(amb)
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        sub = _det_cofactor(minor)
-        acc = acc + entry * sub if j % 2 == 0 else acc - entry * sub
-    return acc
+    e0 = (0,) * len(amb)  # the exponents of a constant
+    live = [{j: p for j, p in enumerate(r) if p.terms} for r in rows]
+    cols = list(range(len(rows)))
+    scale = 1
+    while len(live) > 1:
+        for i in sorted(range(len(live)), key=lambda i: len(live[i])):
+            j = next((j for j, p in live[i].items() if len(p.terms) == 1 and e0 in p.terms), None)
+            if j is not None:
+                break
+        else:
+            block = [[r.get(k, Poly.zero(amb)) for k in cols] for r in live]
+            return _det_bareiss(block) * scale
+        prow, pos = live.pop(i), cols.index(j)
+        c = prow.pop(j).terms[e0]
+        cols.pop(pos)
+        scale *= -c if (i + pos) % 2 else c
+        for r in live:
+            f = r.pop(j, None)
+            if f is None:
+                continue
+            f = f if c == 1 else f * (1 / Fraction(c))
+            for k, q in prow.items():
+                s = r[k] - f * q if k in r else -(f * q)
+                if s.terms:
+                    r[k] = s
+                else:
+                    del r[k]
+    last = live[0].get(cols[0], Poly.zero(amb))
+    return last if scale == 1 else last * scale
 
 
 def _det_bareiss(rows) -> Poly:

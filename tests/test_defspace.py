@@ -18,7 +18,7 @@ from singkit.defspace import (
     verify_factor_identity,
 )
 from singkit.errors import ConfigError
-from singkit.poly import Poly, _det_bareiss, _det_cofactor, parse_polynomial
+from singkit.poly import Poly, _det, _det_bareiss, parse_polynomial
 
 
 def test_build_small_cases():
@@ -60,22 +60,51 @@ def test_symbolic_identities(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_jacobian_cofactor_expansion_agrees_with_bareiss(n):
-    """jacobian_identity expands its determinant by cofactors; fraction-free
-    elimination is the reference."""
+    """jacobian_identity's determinant is `_det`, which expands along the
+    column of each constant pivot it clears; fraction-free elimination is
+    the reference."""
     m = build(n)
     rows = [[c.differentiate(v) for c in m.components] for v in ("lam",) + m.t_names]
-    assert _det_cofactor(rows) == _det_bareiss(rows) == jacobian_identity(m).determinant
+    assert _det(rows) == _det_bareiss(rows) == jacobian_identity(m).determinant
 
 
 def test_jacobian_identity_never_runs_bareiss(monkeypatch):
     # Bareiss fills in the Jacobian's bidiagonal block and takes seconds at
-    # DEGREE_LIMIT; the cofactor expansion skips its zeros at every degree
+    # DEGREE_LIMIT; `_det` takes the block's n - 2 unit pivots instead
     def refuse(rows):
         raise AssertionError(f"_det_bareiss ran on a {len(rows)}x{len(rows)} matrix")
 
     monkeypatch.setattr(poly, "_det_bareiss", refuse)
     for n in range(2, DEGREE_LIMIT + 1):
         assert jacobian_identity(build(n)).matches, n
+
+
+def test_identities_make_linear_numbers_of_products(monkeypatch):
+    # a work count, not a wall clock: the determinant inside
+    # jacobian_identity takes one product per unit pivot, and inverse_t one
+    # per Horner step; a cofactor recursion, or a product per term of each
+    # t_i, makes O(n^2) or more and fails at DEGREE_LIMIT
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    det_products = []
+    det = defspace._det
+
+    def counted_det(rows):
+        start = len(products)
+        out = det(rows)
+        det_products.append(len(products) - start)
+        return out
+
+    monkeypatch.setattr(defspace, "_det", counted_det)
+    for n in range(2, DEGREE_LIMIT + 1):
+        m = build(n)
+        det_products.clear()
+        assert jacobian_identity(m).matches
+        assert det_products[0] <= n, (n, det_products)
+        products.clear()
+        assert len(inverse_t(m)) == n - 2
+        assert len(products) <= n, (n, len(products))
 
 
 def test_fiber_count_never_builds_a_sylvester_matrix(monkeypatch):

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singkit import poly
 from singkit.defspace import DEGREE_LIMIT
 from singkit.errors import ParseError
 from singkit.poly import (
     PARSE_WORK_LIMIT,
     Poly,
     PolyMatrix,
+    _det,
     _height,
     _power_cost,
     discriminant,
@@ -361,7 +363,7 @@ def test_determinant_matches_cofactor_oracle_small():
             assert m.determinant() == _leibniz_det(m.rows), f"size {n}"
 
 
-def test_bareiss_matches_oracle_above_cutoff():
+def test_determinant_of_linear_entries_matches_oracle():
     rng = random.Random(11)
     for n in (5, 6):
         rows = [[Poly.const(("x",), Fraction(rng.randint(-5, 5)))
@@ -369,6 +371,61 @@ def test_bareiss_matches_oracle_above_cutoff():
                  for _ in range(n)] for _ in range(n)]
         m = PolyMatrix(rows)
         assert m.determinant() == _leibniz_det(rows)
+
+
+def test_constant_pivot_determinant_matches_leibniz(monkeypatch):
+    """`_det` against the permutation expansion on sparse matrices whose
+    entries are zero, rational constants or polynomials in x and y: some
+    are singular, and some run out of constant pivots so that Bareiss
+    finishes them."""
+    bareiss_sizes = []
+    bareiss = poly._det_bareiss
+    monkeypatch.setattr(poly, "_det_bareiss",
+                        lambda rows: bareiss_sizes.append(len(rows)) or bareiss(rows))
+    rng = random.Random(3001)
+    amb = ("x", "y")
+    singular = 0
+    for n in range(1, 7):
+        for trial in range(12 if n < 6 else 4):
+            rows = []
+            for _ in range(n):
+                row = []
+                for _ in range(n):
+                    u = rng.random()
+                    if u < 0.4:
+                        row.append(Poly.zero(amb))
+                    elif u < 0.7:
+                        row.append(Poly.const(amb, Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                                            rng.randint(1, 3))))
+                    else:
+                        row.append(_random_poly(rng, 2, max_deg=2, max_terms=2).in_ambient(amb))
+                rows.append(row)
+            if n > 1 and trial % 4 == 3:
+                # the last row a combination of the others: a singular matrix
+                k = rng.randrange(n - 1)
+                rows[-1] = [a * Fraction(-2, 3) + (b if n > 2 else Poly.zero(amb))
+                            for a, b in zip(rows[k], rows[(k + 1) % (n - 1)])]
+            want = _leibniz_det(rows)
+            singular += want.is_zero()
+            assert _det(rows) == want, (n, trial)
+    assert singular >= 5
+    assert any(size >= 2 for size in bareiss_sizes)
+
+
+def test_constant_pivot_off_the_diagonal_flips_the_sign():
+    V = ("x", "y")
+    x, y, one = Poly.var(V, "x"), Poly.var(V, "y"), Poly.const(V, 1)
+    zero = Poly.zero(V)
+    # transpositions and a 3-cycle of constants
+    assert _det([[zero, one], [one, zero]]) == -one
+    assert _det([[zero, one, zero], [zero, zero, one], [one, zero, zero]]) == one
+    assert _det([[zero, zero, 2 * one], [zero, 3 * one, zero], [5 * one, zero, zero]]) == -30 * one
+    # the only constant is off the diagonal: the pivot (0, 1) brings a -1
+    assert _det([[x, one], [y, x]]) == x * x - y
+    # one constant pivot at (1, 0), then Bareiss on the 2x2 block left over
+    rows = [[y, x, x * y], [Fraction(1, 2) * one, zero, zero], [x, y * y, x + y]]
+    assert _det(rows) == _leibniz_det(rows)
+    assert _det(rows) == Fraction(-1, 2) * (x * (x + y) - x * y * y * y)
 
 
 def test_determinant_rejects_non_square():
