@@ -23,22 +23,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .poly import Poly, _coeffs, _det, _from_coeffs, _prem, _subresultants
+from .poly import Poly, _cleared, _coeffs, _det, _from_coeffs, _prem, _subresultants
 
 # Work bound of `_rational_roots`, in steps: a trial division is one step
 # and testing a candidate root with integer Horner is 2 steps per
 # coefficient.  Chosen by measurement (Python 3.11.7, 2-core VM): a trial
 # division takes 0.11 us, and a Horner pass 0.19-0.26 us per coefficient
 # for n = 3..10 and coefficients up to 10^12; whole searches, with the
-# gcd that skips a/b not in lowest terms, ran at 0.06-0.09 us per charged
-# step, so the slowest accepted search takes about 0.2 s.
+# gcd that skips a/b not in lowest terms, ran at 0.006-0.084 us per
+# charged step (0.084 us, 91 ms, for w^3 + 963761198400, whose cost is
+# nearly all trial division), so the slowest accepted search takes about
+# 0.17 s.
 ROOT_SEARCH_LIMIT = 2_000_000
 # Largest degree n that `build` accepts.  Measured in process (Python
 # 3.11.7, 2-core VM): defspace-verify's identities take 0.002 s at n = 14,
 # 0.005 s at n = 24 and 0.015 s at n = 40; fiber_count, one subresultant
-# sequence, takes 0.001-0.003 s at n = 14, 0.003-0.009 s at n = 24 and
-# 0.007-0.031 s at n = 40 (b all ones, random rational b).  A higher limit
-# would need figures of its own, rational root search included.
+# sequence on ints and the rational root search, takes 0.06-0.6 ms at
+# n = 14, 0.1-1.3 ms at n = 24 and 0.2-4.1 ms at n = 40 (b all ones,
+# random rational b of denominators up to 7).  A higher limit would need
+# figures of its own, rational root search included.
 DEGREE_LIMIT = 24
 
 
@@ -213,6 +216,17 @@ class FiberResult:
     points: tuple            # rational fiber points (exact)
 
 
+def _rational(v) -> Fraction:
+    """v as a Fraction: an int, a Fraction or a rational string such as
+    "-5/4".  Floats and bools are refused, as Poly refuses floats."""
+    if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"{v!r} is not an integer, a Fraction or a rational string")
+
+
 def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
     """Fiber of the map over a rational point b = (b_{n-2}, ..., b_0).
 
@@ -220,20 +234,19 @@ def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
     n - deg gcd(P, P'); one subresultant sequence gives that gcd (up to a
     constant) and disc(P) = (-1)^(n(n-1)/2) Res(P, P').  Rational roots
     are fiber points, with t read off P / (w - lam) by synthetic division."""
-    vals = [Fraction(v) for v in b_values]
+    vals = [_rational(v) for v in b_values]
     if len(vals) != m.n - 1:
         raise ConfigError(f"need {m.n - 1} coefficients b_{{n-2}}..b_0, got {len(vals)}")
-    pb = m.target.substitute(dict(zip(m.b_names, vals)))
-    # the sequence runs on ints for L P, L the lcm of b's denominators: the
+    # P's coefficients, lowest first, are b_0, ..., b_{n-2}, 0, 1; the
+    # sequence runs on the ints of L P, L the lcm of b's denominators: the
     # gcd keeps its degree, and Res(L P, L P') = L^(2n-1) Res(P, P')
-    scale = math.lcm(*(v.denominator for v in vals))
-    lp = pb * scale
-    res, gcd = _subresultants(lp, lp.differentiate("w"), "w")
+    scale, lp = _cleared(vals[::-1] + [0, 1])
+    res, gcd = _subresultants(lp, [k * c for k, c in enumerate(lp)][1:])
     count = m.n - (len(gcd) - 1)
-    disc = res.constant_term() / scale ** (2 * m.n - 1) * (-1) ** (m.n * (m.n - 1) // 2)
+    disc = Fraction(res, scale ** (2 * m.n - 1)) * (-1) ** (m.n * (m.n - 1) // 2)
 
     points = []
-    for root in _rational_roots(pb, "w"):
+    for root in _rational_roots(lp, "w"):
         # Horner on P's 1, 0, b_{n-2}, ..., b_1 runs through Q's 1, root, t
         acc, ts = root, []
         for v in vals[:-1]:
@@ -250,8 +263,8 @@ def fiber_count(m: RootFactorMap, b_values) -> FiberResult:
 
 def apply_map(m: RootFactorMap, lam, t_values) -> tuple:
     """Evaluate the coefficient map at a rational (lam, t)."""
-    point = {"lam": Fraction(lam)}
-    point.update({name: Fraction(v) for name, v in zip(m.t_names, t_values)})
+    point = {"lam": _rational(lam)}
+    point.update({name: _rational(v) for name, v in zip(m.t_names, t_values)})
     return tuple(comp.evaluate(point) for comp in m.components)
 
 
@@ -267,19 +280,16 @@ def _divisors(n):
     return sorted(out)
 
 
-def _rational_roots(p: Poly, name: str) -> list:
-    """Distinct rational roots of a univariate-in-`name` polynomial with
-    rational coefficients (other ambient variables already numeric).
+def _rational_roots(ints: list, name: str) -> list:
+    """Distinct rational roots of the polynomial in `name` whose integer
+    coefficients, lowest first, are `ints` (the last nonzero).
 
-    Once denominators are cleared to integers c_k, a nonzero root a/b in
-    lowest terms has a dividing the trailing and b the leading
-    coefficient, and sum_k c_k a^k b^(d-k) = 0, which integer Horner tests
-    exactly.  The search is charged against ROOT_SEARCH_LIMIT before it
-    runs; past it, ConfigError names the larger of the two coefficients."""
-    deg = p.degree_in(name)
-    coeffs = [p.coefficient_in(name, k).constant_term() for k in range(deg + 1)]
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
+    A nonzero root a/b in lowest terms has a dividing the trailing and b
+    the leading coefficient, and sum_k c_k a^k b^(d-k) = 0, which integer
+    Horner tests exactly.  The search is charged against ROOT_SEARCH_LIMIT
+    before it runs; past it, ConfigError names the larger of the two
+    coefficients."""
+    deg = len(ints) - 1
     roots = []
     low = next(k for k, a in enumerate(ints) if a)
     if low > 0:

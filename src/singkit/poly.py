@@ -21,6 +21,7 @@ form; it is what the printer emits for a negative head coefficient.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import add
@@ -121,6 +122,10 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        """False for the zero polynomial only, as for a number."""
+        return bool(self.terms)
 
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * len(self.vars), 0))
@@ -696,77 +701,118 @@ def _from_coeffs(cs: list, name: str, vars) -> Poly:
     return sum((c * Poly.var(vars, name) ** k for k, c in enumerate(cs)), Poly.zero(vars))
 
 
+def _cleared(cs: list) -> tuple:
+    """(L, L * cs) for a list of ints and Fractions, L the lcm of their
+    denominators, so that L * cs is a list of ints."""
+    scale = math.lcm(*(c.denominator for c in cs))
+    return scale, [c.numerator * (scale // c.denominator) for c in cs]
+
+
+def _divide(a, d):
+    """a / d, checked: ArithmeticError unless d divides a exactly.  a and
+    d are both ints or both Polys (`Poly.exact_divide`), or d is the int 1,
+    which divides anything."""
+    if isinstance(d, Poly):
+        return a.exact_divide(d)
+    if d == 1:
+        return a
+    q, r = divmod(a, d)
+    if r:
+        raise ArithmeticError("integer division is not exact")
+    return q
+
+
 def _prem(a: list, b: list) -> list:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, on coefficient
-    lists (index k holds the coefficient of name^k, the last is nonzero);
-    the result has no trailing zeros, so [] is the zero remainder.  For b
-    of leading coefficient 1 it is the remainder of a on division by b."""
+    lists (index k holds the coefficient of name^k, the last is nonzero)
+    of ints, or of Polys in the other variables; the result has no
+    trailing zeros, so [] is the zero remainder.  For b of leading
+    coefficient 1 it is the remainder of a on division by b, and no
+    product with lc(b) is formed."""
     lead, db = b[-1], len(b) - 1
+    monic = lead == 1
     r = a[:]
     for top in range(len(a) - 1, db - 1, -1):
         c = r.pop()
-        r = [lead * x for x in r]
-        if not c.is_zero():
+        if not monic:
+            r = [lead * x for x in r]
+        if c:
             for j in range(db):
                 r[top - db + j] = r[top - db + j] - c * b[j]
-    while r and r[-1].is_zero():
+    while r and not r[-1]:
         r.pop()
     return r
 
 
-def _subresultants(p: Poly, q: Poly, name: str):
-    """Res(p, q) in `name` (`resultant`) and the last nonzero element S of
-    the subresultant pseudo-remainder sequence of nonzero p and q, as a
-    `_prem` list (Collins/Brown; Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 3.3.7; every division is exact).  S is gcd(p, q) up
-    to a factor free of `name` (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 6), so Res = 0 iff S is not constant."""
-    a, b = _coeffs(p, name), _coeffs(q, name)
+def _subresultants(a: list, b: list):
+    """Res(p, q) (`resultant`) and the last nonzero element S of the
+    subresultant pseudo-remainder sequence of nonzero p and q, given as
+    their `_prem` lists, int or Poly coefficients alike; S is a `_prem`
+    list too, and Res is an int or a Poly as the coefficients are
+    (Collins/Brown; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7).  Every division is exact, and `_divide` checks
+    that it is, on either type.  S is gcd(p, q) up to a factor free of
+    the variable (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6),
+    so Res = 0 iff S is not constant."""
     dp, dq = len(a) - 1, len(b) - 1
     # Res(q, p) = (-1)^(dp dq) Res(p, q), and each step of the sequence,
     # from (a, b) to b and a's pseudo-remainder, brings one such sign
     sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
     if dp < dq:
         a, b = b, a
-    g = h = Poly.const(p.vars, 1)
+    g = h = 1
     while len(b) > 1:
         delta = len(a) - len(b)
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
         r = _prem(a, b)
         if not r:
-            return Poly.zero(p.vars), b
+            return b[-1] * 0, b  # the zero of the coefficients' type
         div = g * h ** delta
-        a, b = b, [c.exact_divide(div) for c in r]
+        a, b = b, [_divide(c, div) for c in r]
         g = a[-1]
-        h = (g ** delta).exact_divide(h ** (delta - 1)) if delta else h
+        h = _divide(g ** delta, h ** (delta - 1)) if delta else h
     # b is a nonzero constant; da = 0 only for two constants, of Res 1
     da = len(a) - 1
-    res = (b[0] ** da).exact_divide(h ** max(da - 1, 0))
+    res = _divide(b[0] ** da, h ** max(da - 1, 0))
     return (res if sign == 1 else -res), b
 
 
 def univariate_gcd(p: Poly, q: Poly, name: str) -> Poly:
     """Monic gcd of two polynomials univariate in `name` over Q: the last
     nonzero element of their subresultant sequence (`_subresultants`),
-    made monic; gcd(p, 0) is p made monic."""
+    made monic; gcd(p, 0) is p made monic.  Each of p and q is scaled to
+    integer coefficients first (`_cleared`), which leaves the monic gcd
+    as it is, so the sequence runs on ints."""
     for f in (p, q):
         if not f.is_univariate_in(name):
             raise ValueError(f"{f} is not univariate in {name!r}")
+    p._check_same(q)
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    s = _coeffs(p + q, name) if p.is_zero() or q.is_zero() else _subresultants(p, q, name)[1]
-    inv = 1 / s[-1].constant_term()
-    return _from_coeffs([c * inv for c in s], name, p.vars)
+    i = p.vars.index(name)
+
+    def ints(f):
+        cs = [0] * (f.degree_in(name) + 1)
+        for e, c in f.terms.items():
+            cs[e[i]] = c
+        return _cleared(cs)[1]
+
+    a, b = ints(p), ints(q)
+    s = _subresultants(a, b)[1] if a and b else a or b
+    zeros = (0,) * len(p.vars)
+    return Poly._of(p.vars, {zeros[:i] + (k,) + zeros[i + 1:]: _coerce(Fraction(c, s[-1]))
+                             for k, c in enumerate(s) if c})
 
 
 def resultant(p: Poly, q: Poly, name: str) -> Poly:
     """Resultant with respect to `name`, the determinant of the Sylvester
     matrix of p and q (p's rows first), read off their subresultant
-    sequence (`_subresultants`) without building that matrix."""
+    sequence (`_subresultants`) on Poly coefficients, without building
+    that matrix."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant with a zero polynomial")
-    return _subresultants(p, q, name)[0]
+    return _subresultants(_coeffs(p, name), _coeffs(q, name))[0]
 
 
 def discriminant(p: Poly, name: str) -> Poly:

@@ -129,6 +129,24 @@ def test_smallres_curve_with_no_pure_power_of_z_answers(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_smallres_rational_lines_are_checked_distinct_on_ints(tmp_path, capsys):
+    # three lines of rational slopes: distinct_lines' check clears each
+    # polynomial's denominators and runs the gcd sequence on ints; the germ
+    # file is also run by CI without site-packages
+    germ = Path(__file__).parent / "data" / "smallres-rational-lines.json"
+    code, report = run(capsys, "smallres", str(germ))
+    assert code == 0
+    validate(report, SCHEMA)
+    assert (report["results"]["tau"], report["results"]["delta"]) == (4, 3)
+    assert all(c["pass"] for c in report["checks"])
+    # the line of slope 1/2 twice: the gcd of u and u' is z - 1/2
+    twice = tmp_path / "germ.json"
+    twice.write_text(json.dumps(
+        {"g": "(z - 1/2*w)^2*(z + 1/3*w)", "family": "distinct_lines", "n": 3}))
+    assert main(["smallres", str(twice)]) == 2
+    assert capsys.readouterr().err == "error: g has a repeated line\n"
+
+
 def test_smallres_custom_germ_with_n_exits_2(tmp_path, capsys):
     # n would be echoed in the inputs and ignored: the report counts branches
     germ = tmp_path / "germ.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,23 +112,29 @@ def test_fiber_count_never_builds_a_sylvester_matrix(monkeypatch):
     # one subresultant sequence of (P, P') gives the count and disc(P), at
     # most n - 1 pseudo-remainders; a Sylvester determinant took 0.65 s at
     # DEGREE_LIMIT, and the t of a point come from synthetic division, not
-    # from the symbolic inverse_t
+    # from the symbolic inverse_t.  P's coefficients are 1, 0 and b, so the
+    # sequence runs on a list of ints: no Poly is substituted into or
+    # multiplied
     def refuse(*args):
-        raise AssertionError("a determinant or inverse_t ran under fiber_count")
+        raise AssertionError("a determinant, inverse_t or Poly arithmetic ran under fiber_count")
 
+    maps = [build(n) for n in range(2, DEGREE_LIMIT + 1)]
     monkeypatch.setattr(poly.PolyMatrix, "determinant", refuse)
     monkeypatch.setattr(poly, "_det_bareiss", refuse)
     monkeypatch.setattr(defspace, "inverse_t", refuse)
+    for name in ("substitute", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, name, refuse)
     prems = []
     prem = poly._prem
     monkeypatch.setattr(poly, "_prem", lambda a, b: prems.append(1) or prem(a, b))
     rng = random.Random(24)
-    for n in range(2, DEGREE_LIMIT + 1):
+    for m in maps:
+        n = m.n
         random_b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 1)]
         # w^n - w^(n-2) = w^(n-2) (w - 1)(w + 1): a repeated root when n > 3
         for b in (random_b, [-1] + [0] * (n - 2)):
             prems.clear()
-            fib = fiber_count(build(n), b)
+            fib = fiber_count(m, b)
             assert (fib.count == n) == (fib.discriminant != 0), n
             assert len(prems) <= n - 1, (n, b)
         assert [p.lam for p in fib.points] == ([-1, 1] if n == 2 else [-1, 0, 1]), n
@@ -162,6 +169,54 @@ def test_fiber_point_t_is_inverse_t_at_the_point(n):
         for pt in fib.points:
             point = {"lam": pt.lam, **dict(zip(m.b_names, b))}
             assert pt.t == tuple(t.evaluate(point) for t in inv), (roots, pt.lam)
+
+
+@pytest.mark.parametrize("n", range(2, DEGREE_LIMIT + 1))
+def test_fiber_count_matches_the_poly_route(n):
+    # fiber_count runs the sequence on the ints of L P; the same sequence on
+    # the Poly coefficients of P_b = P(w; b) gives poly.discriminant and
+    # gcd(P_b, P_b'), for b integral, rational with denominators up to 7,
+    # and made from rational roots with repeats (numerators and denominators
+    # up to 2, so that L P's end coefficients stay inside the root search's
+    # ROOT_SEARCH_LIMIT up to n = 24)
+    rng = random.Random(3100 + n)
+    m = build(n)
+    for kind in ("integral", "rational", "roots"):
+        roots = None
+        if kind == "integral":
+            b = [rng.randint(-20, 20) for _ in range(n - 1)]
+        elif kind == "rational":
+            b = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n - 1)]
+        else:
+            pool = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+            roots = [rng.choice(pool) for _ in range(n - 1)]
+            roots.append(-sum(roots))
+            b = _b_of_roots(roots)
+        fib = fiber_count(m, b)
+        pb = m.target.substitute(dict(zip(m.b_names, b)))
+        assert fib.discriminant == poly.discriminant(pb, "w").constant_term(), (kind, b)
+        gcd = poly._subresultants(poly._coeffs(pb, "w"), poly._coeffs(pb.differentiate("w"), "w"))[1]
+        assert fib.count == n - (len(gcd) - 1), (kind, b)
+        if roots is not None:
+            assert fib.count == len(set(roots))
+            assert [p.lam for p in fib.points] == sorted(set(roots)), roots
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, True, False, None, "1/0", "half", [1]])
+def test_fiber_count_and_apply_map_refuse_what_is_not_rational(bad):
+    # a float was read as its binary value (0.1 as 3602879701896397/2^55,
+    # refused for its root search) and a bool as 0 or 1
+    m = build(3)
+    message = rf"^{re.escape(repr(bad))} is not an integer, a Fraction or a rational string$"
+    with pytest.raises(ConfigError, match=message):
+        fiber_count(m, [bad, 0])
+    with pytest.raises(ConfigError, match=message):
+        apply_map(m, bad, [0])
+    with pytest.raises(ConfigError, match=message):
+        apply_map(m, 0, [bad])
+    # ints, Fractions and rational strings, as corpus entries give them
+    assert fiber_count(m, ["-1", Fraction(0)]) == fiber_count(m, [-1, 0])
+    assert apply_map(m, "1/2", [-3]) == apply_map(m, Fraction(1, 2), [Fraction(-3)])
 
 
 def test_reduce_mod_monic():

@@ -1,8 +1,8 @@
 """Exact arithmetic, linear algebra and univariate division against
 sympy, an independent implementation: Poly arithmetic and substitution,
 the shared sparse elimination, the weight solver, gcd and remainder,
-Sylvester determinants, rational roots and the Jacobian determinant of
-the root-splitting map.
+Sylvester determinants, rational roots, and the fiber count and the
+Jacobian determinant of the root-splitting map.
 sympy is a test dependency only; without it this module is skipped."""
 
 import random
@@ -10,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from singkit.defspace import _rational_roots, build, jacobian_identity, reduce_mod_monic
+from singkit.defspace import (
+    DEGREE_LIMIT,
+    _rational_roots,
+    build,
+    fiber_count,
+    jacobian_identity,
+    reduce_mod_monic,
+)
 from singkit.localring import quasi_homogeneous_weights
-from singkit.poly import Poly, _reduce_into, discriminant, resultant, univariate_gcd
+from singkit.poly import Poly, _cleared, _reduce_into, discriminant, resultant, univariate_gcd
 
 sympy = pytest.importorskip("sympy")
 from sympy.solvers.simplex import InfeasibleLPError, lpmax  # noqa: E402
@@ -248,7 +255,42 @@ def test_rational_roots_match_sympy():
         if f.degree_in("w") < 1:
             continue
         want = sorted(r for r in sympy.roots(sympy.Poly(S(f), w)) if r.is_rational)
-        assert _rational_roots(f, "w") == [Fraction(int(r.p), int(r.q)) for r in want], f
+        ints = _cleared([f.coefficient_in("w", k).constant_term()
+                         for k in range(f.degree_in("w") + 1)])[1]
+        assert _rational_roots(ints, "w") == [Fraction(int(r.p), int(r.q)) for r in want], f
+
+
+@pytest.mark.parametrize("n", range(2, DEGREE_LIMIT + 1))
+def test_fiber_count_matches_sympy(n):
+    # fiber_count's int sequence against sympy's discriminant, gcd and
+    # roots of P = w^n + b_{n-2} w^{n-2} + ... + b_0, for seeded b
+    # integral, rational with denominators up to 7, and made from rational
+    # roots with repeats (numerators and denominators up to 2, so that L P's
+    # end coefficients stay inside ROOT_SEARCH_LIMIT up to n = 24)
+    rng = random.Random(3200 + n)
+    w = sympy.Symbol("w")
+    m = build(n)
+    for kind in ("integral", "rational", "roots"):
+        if kind == "integral":
+            b = [rng.randint(-20, 20) for _ in range(n - 1)]
+        elif kind == "rational":
+            b = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n - 1)]
+        else:
+            pool = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+            roots = [rng.choice(pool) for _ in range(n - 1)]
+            roots.append(-sum(roots))
+            product = sympy.prod([w - sympy.Rational(r.numerator, r.denominator) for r in roots])
+            b = [Fraction(int(c.p), int(c.q)) for c in sympy.Poly(product, w).all_coeffs()[2:]]
+        fib = fiber_count(m, b)
+        big_p = w ** n + sum(sympy.Rational(c.numerator, c.denominator) * w ** (n - 2 - i)
+                             for i, c in enumerate(map(Fraction, b)))
+        disc = sympy.discriminant(big_p, w)
+        assert fib.discriminant == Fraction(int(disc.p), int(disc.q)), (kind, b)
+        assert fib.count == n - sympy.degree(sympy.gcd(big_p, sympy.diff(big_p, w)), w), (kind, b)
+        want = sorted(r for r in sympy.roots(sympy.Poly(big_p, w)) if r.is_rational)
+        assert [p.lam for p in fib.points] == [Fraction(int(r.p), int(r.q)) for r in want], (kind, b)
+        if kind == "roots":
+            assert [p.lam for p in fib.points] == sorted(set(roots)), roots
 
 
 @pytest.mark.parametrize("n", range(2, 11))

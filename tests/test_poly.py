@@ -451,6 +451,40 @@ def test_univariate_gcd_examples():
         == parse_polynomial("w^2-1", w)
 
 
+def test_subresultant_divisions_are_checked_on_ints_and_polys(monkeypatch):
+    # divmod would floor -7 / 2 to -4 without a word; the sequence's
+    # divisions raise instead, on either coefficient type
+    assert poly._divide(-12, 4) == -3
+    for a, d in ((7, 2), (-7, 2), (1, -3)):
+        with pytest.raises(ArithmeticError, match="not exact"):
+            poly._divide(a, d)
+    w = ("w",)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        poly._divide(P("w^2 + 1", w), P("w + 1", w))
+    # a pseudo-remainder off by one makes a later division of the int
+    # sequence inexact: it raises, and no wrong resultant comes out
+    a = [1, 0, 3, 0, 2, 5]  # 5w^5 + 2w^4 + 3w^2 + 1
+    b = [k * c for k, c in enumerate(a)][1:]
+    assert poly._subresultants(a, b) == (9971765, [9971765])
+    prem = poly._prem
+    monkeypatch.setattr(poly, "_prem", lambda a, b: [c + 1 for c in prem(a, b)])
+    with pytest.raises(ArithmeticError, match="integer division is not exact"):
+        poly._subresultants(a, b)
+
+
+def test_univariate_gcd_of_rational_polynomials_runs_on_ints(monkeypatch):
+    # each argument is scaled to integer coefficients on its own, so the
+    # sequence sees ints only, and the monic gcd is as over Q
+    w = ("w",)
+    seen = []
+    prem = poly._prem
+    monkeypatch.setattr(poly, "_prem", lambda a, b: seen.extend(map(type, a + b)) or prem(a, b))
+    p = P("(w - 1/2)^2*(w + 1/3)*(2/5*w^2 + 1)", w)
+    assert univariate_gcd(p, p.differentiate("w"), "w") == P("w - 1/2", w)
+    assert univariate_gcd(P("1/6*w^2 - 1/6", w), P("3/4*w + 3/4", w), "w") == P("w + 1", w)
+    assert seen and set(seen) == {int}
+
+
 def test_discriminant_pinned_examples():
     q = parse_polynomial("w^2 + b0", ("w", "b0"))
     assert discriminant(q, "w") == parse_polynomial("-4*b0", ("w", "b0"))
