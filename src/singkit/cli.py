@@ -5,18 +5,21 @@ Every subcommand prints a single JSON report to stdout:
     {"command": ..., "inputs": ..., "results": ..., "checks": [...], "warnings": [...]}
 
 Exit status: 0 = computed and all checks passed, 1 = a consistency
-check failed, 2 = bad input (parse error, malformed config, missing file)
-or an input whose work would pass a limit (PARSE_WORK_LIMIT,
-ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT), with a one-line
-diagnostic.  Reports are emitted with sorted keys so identical inputs give
-byte-identical output.  No computation is randomized: `--seed` is echoed
-in the report's inputs and nothing else depends on it.
+check failed, 2 = bad input (parse error, malformed config, missing file),
+an input whose work would pass a limit (PARSE_WORK_LIMIT,
+ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT) or a stdout closed
+before the report was written, with a one-line diagnostic.  _write makes
+a report in one pass, with the bytes of json.dumps(corpus.jsonify(report),
+indent=2, sort_keys=True), so identical inputs give byte-identical output.
+No computation is randomized: `--seed` is echoed in the report's inputs
+and nothing else depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -26,17 +29,55 @@ from .errors import ConfigError, ConsistencyError, ParseError
 from .localring import tjurina_number  # noqa: F401
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C function
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value, out, indent):
+    """Append to out the pieces of json.dumps(corpus.jsonify(value),
+    indent=2, sort_keys=True), for value nested where indent (a newline
+    and two spaces per level) starts a line: one pass, no jsonified copy."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    elif kind is Fraction:
+        out.append(_encode_str(str(value)))
+    elif isinstance(value, dict):  # subclasses too, so nesting stays indented
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            key = key if isinstance(key, str) else json.dumps(key)
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _write(item, out, inner)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    else:  # floats (INFINITE is "infinite") and subclasses of str and int
+        out.append(json.dumps(corpus.jsonify(value)))
+
+
 def _emit(command, inputs, results, checks=(), warnings=()):
-    report = {
-        "command": command,
-        "inputs": corpus.jsonify(inputs),
-        "results": corpus.jsonify(results),
-        "checks": corpus.jsonify(list(checks)),
-        "warnings": list(warnings),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    failed = [c for c in report["checks"] if not c.get("pass", True)]
-    return 1 if failed else 0
+    checks = list(checks)
+    out = []
+    _write({"command": command, "inputs": inputs, "results": results,
+            "checks": checks, "warnings": list(warnings)}, out, "\n")
+    print("".join(out))
+    return 1 if any(not c.get("pass", True) for c in checks) else 0
 
 
 def _parse_vars(text):
@@ -205,13 +246,23 @@ def main(argv=None):
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConsistencyError as exc:
-        return _emit(args.command, {}, {},
-                     [{"name": exc.relation, "pass": False, "detail": str(exc)}])
-    except (ParseError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = args.func(args)
+        except ConsistencyError as exc:
+            code = _emit(args.command, {}, {},
+                         [{"name": exc.relation, "pass": False, "detail": str(exc)}])
+        except (ParseError, ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the interpreter's last flush of what is left goes to devnull, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

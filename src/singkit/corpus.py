@@ -395,7 +395,8 @@ def fiber(inputs):
 
 
 # kind -> (operation, the entry fields it reads, and the values an entry can
-# pin, read off the operation's results and checks in their JSON form)
+# pin, read off the operation's results and checks; run_entry compares them
+# in their JSON form)
 _KINDS = {
     "tjurina": (tjurina, ("poly",), lambda res, _: {"tau": res["tau"]}),
     "milnor": (milnor, ("poly",), lambda res, _: {"mu": res["mu"]}),
@@ -458,7 +459,7 @@ def run_entry(entry):
             raise ConfigError(f"corpus entry {entry['id']!r}: {name} must be {want}, "
                               f"got {entry[name]!r}")
     results, checks, _warnings = op(entry)
-    actual = pinned(jsonify(results), jsonify(checks))
+    actual = jsonify(pinned(results, checks))
     expected = entry.get("expected", {})
     if expected:
         actual = {k: actual.get(k) for k in expected}

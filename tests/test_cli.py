@@ -1,11 +1,16 @@
+import collections
 import contextlib
 import copy
+import enum
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ from jsonschema import validate
 from singkit import cli, corpus, defspace, dualcomplex
 from singkit.cli import main
 from singkit.corpus import CUBIC_CONE_LINK, TYPE_II_CHAIN, TYPE_III2_DISK
+from singkit.localring import INFINITE
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -692,3 +698,73 @@ def test_fuzzed_inputs_exit_0_1_or_2(data):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, doc)
+
+
+class _Tone(str, enum.Enum):
+    LOW = "low é"
+    HIGH = 'hi"gh'
+
+
+_Point = collections.namedtuple("_Point", "lam t")
+
+_SCALARS = [
+    "", "plain", 'quote " and \\ backslash', "tab\there\nnewline\x00\x1f\x7f",
+    "café → \u2028 \U0001d400", _Tone.LOW, _Tone.HIGH,
+    0, 1, -1, True, False, None, 2**64, -(2**64) - 1, 3**200,
+    Fraction(1, 2), Fraction(-5, 4), Fraction(4, 2), Fraction(-7),
+    INFINITE, -INFINITE, float("nan"), 0.1, -2.5, 1e300, 5e-324, 0.0, -0.0,
+]
+
+
+def _random_value(rng, depth):
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice(_SCALARS)
+    size = rng.choice((0, 1, 2, 3, 5))
+    items = [_random_value(rng, depth - 1) for _ in range(size)]
+    kind = rng.randrange(6)
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    if kind == 2:
+        return _Point(_random_value(rng, depth - 1), items)
+    keys = rng.sample(["a", "b", "B", "é", 'k"', "\\", "", "10", "9", "z" * 3], size)
+    if kind == 3:
+        return dict(zip(keys, items))
+    if kind == 4:
+        return collections.OrderedDict(zip(reversed(keys), items))
+    numbers = [True, 2, -3, 0.5, 2**65, INFINITE, -INFINITE]  # keys json.dumps converts
+    return dict(zip(rng.sample(numbers, size), items))
+
+
+def _written(value):
+    out = []
+    cli._write(value, out, "\n")
+    return "".join(out)
+
+
+def test_report_writer_matches_json_dumps_of_jsonify():
+    rng = random.Random(20261021)
+    values = [*_SCALARS, {}, [], (), collections.OrderedDict(), _Point(1, ())]
+    values += [_random_value(rng, 4) for _ in range(400)]
+    for value in values:
+        want = json.dumps(corpus.jsonify(value), indent=2, sort_keys=True)
+        assert _written(value) == want, value
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_2_with_one_line(unbuffered):
+    # a pipe whose reader is gone; buffered, the write fails only at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "singkit.cli", "tjurina", "x^2+y^2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: stdout closed before the report was written\n"

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from singkit import corpus
 from singkit.cli import main
 from singkit.corpus import (
     CUBIC_CONE_LINK,
@@ -214,3 +215,24 @@ def test_report_matches_the_schema(name, tmp_path, monkeypatch):
     out = observe(CASES[name])[1]
     if out:
         jsonschema.validate(json.loads(out), SCHEMA)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_json_dumps_indent_2_sort_keys(name, tmp_path, monkeypatch):
+    # the format checked by a second route, independent of the digests
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    out = observe(CASES[name])[1]
+    if out:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("entry", ENTRIES + EXTRA_ENTRIES, ids=lambda e: e["id"])
+def test_pinned_values_jsonify_after_pinning_as_before(entry):
+    # run_entry jsonifies the pinned values only, not all results and checks
+    op, _needs, pinned = corpus._KINDS[entry["kind"]]
+    results, checks, _warnings = op(entry)
+    # compared as JSON text, where true and 1 differ
+    assert (json.dumps(corpus.jsonify(pinned(results, checks)), sort_keys=True)
+            == json.dumps(pinned(corpus.jsonify(results), corpus.jsonify(checks)),
+                          sort_keys=True))
