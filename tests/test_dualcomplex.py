@@ -320,6 +320,49 @@ def test_unclassified_reports_failures_for_every_type():
     assert types_with_failures == {"TYPE_II", "TYPE_III_1", "TYPE_III_2"}
 
 
+def _rational_graph(edges, triangles=()):
+    """Rational components of b2 3 joined by one genus-0 curve per edge,
+    with a triple point per triangle and one marked C chain on every
+    component except E0."""
+    comps = sorted({x for e in edges for x in e})
+    return {
+        "components": [{"id": c, "kind": "rational", "b2": 3} for c in comps],
+        "double_curves": [{"id": a + b, "between": [a, b], "genus": 0} for a, b in edges],
+        "triple_points": [{"id": f"T{i}", "components": list(t)}
+                          for i, t in enumerate(triangles)],
+        "marked": {"c_curves": {c: [["C" + c]] for c in comps if c != "E0"}},
+    }
+
+
+def _iii2_clauses(result, *clauses):
+    return [f[2] for f in result.failed_clauses if f[0] == "TYPE_III_2" and f[1] in clauses]
+
+
+def test_boundary_in_two_triangles_splits_into_several_cycles():
+    # six boundary components in two triangles, joined through an interior E0
+    data = _rational_graph([("B1", "B2"), ("B2", "B3"), ("B3", "B1"), ("B4", "B5"),
+                            ("B5", "B6"), ("B6", "B4"), ("E0", "B1"), ("E0", "B4")])
+    assert _iii2_clauses(classify(cfg(data)), "ii", "iv") == [
+        "boundary components split into several cycles",
+        "Euler characteristic is -1, a disk needs 1",
+        "first homology rank is 2, a disk needs 0",
+        "free edges of the complex do not form a single cycle",
+        "interior component 'E0': only 2 neighbors, an interior vertex needs >= 3",
+    ]
+
+
+def test_interior_link_in_two_triangles_splits_into_several_cycles():
+    # E0 has six neighbors, and its triple points make two triangles in its link
+    rims = [("A1", "A2"), ("A2", "A3"), ("A3", "A1"), ("A4", "A5"), ("A5", "A6"), ("A6", "A4")]
+    data = _rational_graph(rims + [("E0", f"A{i}") for i in range(1, 7)],
+                           [("E0", a, b) for a, b in rims])
+    assert _iii2_clauses(classify(cfg(data)), "ii", "iv") == [
+        "boundary components split into several cycles",
+        "free edges of the complex do not form a single cycle",
+        "interior component 'E0': link splits into several cycles",
+    ]
+
+
 def _relabel(data, rng):
     ids = set()
     for c in data["components"]:
@@ -700,3 +743,15 @@ def test_random_configurations_match_pinned_digests(gen, seed, counts, digest):
         outcomes.append(out)
     text = json.dumps(outcomes, sort_keys=True)
     assert (tally, hashlib.sha256(text.encode()).hexdigest()) == (counts, digest)
+
+
+@pytest.mark.parametrize("gen,seed", [(gen, seed) for gen, seed, _, _ in RANDOM_BATCHES])
+def test_a_verdict_has_failed_clauses_from_both_other_shapes(gen, seed):
+    # at most one shape can pass, so classify needs no tie-break
+    make = {"random": _random_config, "perturbed": _perturbed_shape}[gen]
+    rng = random.Random(seed)
+    shapes = {v.value for v in Verdict} - {Verdict.UNCLASSIFIED.value}
+    for _ in range(500):
+        kind, out = _outcome(make(rng))
+        if kind in shapes:
+            assert {f[0] for f in out[1]} == shapes - {kind}, out
