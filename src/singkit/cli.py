@@ -5,10 +5,12 @@ Every subcommand prints a single JSON report to stdout:
     {"command": ..., "inputs": ..., "results": ..., "checks": [...], "warnings": [...]}
 
 Exit status: 0 = computed and all checks passed, 1 = a consistency
-check failed, 2 = bad input (parse error, malformed config, missing file),
-an input whose work would pass a limit (PARSE_WORK_LIMIT,
-ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT) or a stdout closed
-before the report was written, with a one-line diagnostic.  _write makes
+check failed, 2 = bad input (parse error, malformed config, missing or
+too deeply nested JSON file), an input whose work would pass a limit
+(PARSE_WORK_LIMIT, ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT)
+or a stdout closed before the report was written, with a one-line
+diagnostic on stderr; a closed stderr drops that line and keeps the
+exit status.  _write makes
 a report in one pass, with the bytes of json.dumps(corpus.jsonify(report),
 indent=2, sort_keys=True), so identical inputs give byte-identical output.
 No computation is randomized: `--seed` is echoed in the report's inputs
@@ -24,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, dualcomplex
-from .errors import ConfigError, ConsistencyError, ParseError
+from .errors import ConfigError, ConsistencyError, LocalWorkLimitError, ParseError
 # unused here; perfbench/tests/test_perfbench.py checks that the tracer rebinds it
 from .localring import tjurina_number  # noqa: F401
 
@@ -95,6 +97,8 @@ def _load_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path} nests JSON too deeply") from None
 
 
 def _write_dot(args, data, results):
@@ -240,6 +244,23 @@ def build_parser():
 _parser = None  # built on the first call of main; parse_args leaves it unchanged
 
 
+def _to_devnull(stream):
+    """Point a stream whose pipe has no reader at devnull, so the
+    interpreter's last flush of what is left goes nowhere, silently."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message):
+    """Print the one-line diagnostic, which a closed stderr drops; exit 2."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+    return 2
+
+
 def main(argv=None):
     global _parser
     if _parser is None:
@@ -251,17 +272,12 @@ def main(argv=None):
         except ConsistencyError as exc:
             code = _emit(args.command, {}, {},
                          [{"name": exc.relation, "pass": False, "detail": str(exc)}])
-        except (ParseError, ConfigError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
+        except (ParseError, ConfigError, LocalWorkLimitError) as exc:
+            code = _error(exc)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
-        # the interpreter's last flush of what is left goes to devnull, silently
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: stdout closed before the report was written", file=sys.stderr)
-        return 2
+        _to_devnull(sys.stdout)
+        return _error("stdout closed before the report was written")
     return code
 
 

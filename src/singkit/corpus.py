@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import defspace as ds
 from . import dualcomplex as dc
 from . import smallres as sr
-from .errors import ConfigError
+from .errors import ConfigError, ConsistencyError
 from .localring import INFINITE, milnor_number, tjurina_number
 from .poly import parse_polynomial
 
@@ -444,8 +444,10 @@ _FIELD_TYPES = {
 
 def run_entry(entry):
     """The entry's check as corpus reports print it: its id as name, the
-    pinned values expected and computed, and whether they agree.  The
-    entry is an object with a string id and a kind (run_corpus checks)."""
+    pinned values expected and computed, and whether they agree; an
+    operation that breaks a relation fails the check, with the relation
+    as detail.  The entry is an object with a string id and a kind
+    (run_corpus checks)."""
     if not isinstance(entry["kind"], str) or entry["kind"] not in _KINDS:
         raise ConfigError(f"unknown corpus entry kind {entry['kind']!r}")
     if not isinstance(entry.get("expected", {}), dict):
@@ -458,9 +460,12 @@ def run_entry(entry):
         if name in entry and not valid(entry[name]):
             raise ConfigError(f"corpus entry {entry['id']!r}: {name} must be {want}, "
                               f"got {entry[name]!r}")
-    results, checks, _warnings = op(entry)
-    actual = jsonify(pinned(results, checks))
     expected = entry.get("expected", {})
+    try:
+        results, checks, _warnings = op(entry)
+    except ConsistencyError as exc:
+        return {"name": entry["id"], "expected": expected, "pass": False, "detail": str(exc)}
+    actual = jsonify(pinned(results, checks))
     if expected:
         actual = {k: actual.get(k) for k in expected}
     return {"name": entry["id"], "expected": expected, "actual": actual,

@@ -22,11 +22,13 @@ exceptional divisor:
 
 Clauses that are visible in the combinatorial data are decided and can
 FAIL; sheaf-level clauses (nefness, smoothness of individual curves,
-line-bundle identities, intersection numbers) are recorded as ASSUMED.
+line-bundle identities, intersection numbers) are recorded as ASSUMED:
+every report lists the same ones, each shape's table in `_ASSUMED`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -242,10 +244,7 @@ def build_dual_complex(config: DivisorConfiguration) -> DualComplex:
     cycles = e - v + 1  # configuration is connected by construction
     h1 = cycles - rank
 
-    use_count = {d.id: 0 for d in config.double_curves}
-    for _, es in cells:
-        for eid in es:
-            use_count[eid] += 1
+    use_count = Counter(eid for _, es in cells for eid in es)
     boundary = tuple(sorted(eid for eid, k in use_count.items() if k == 1))
     nonmanifold = tuple(sorted(eid for eid, k in use_count.items() if k > 2))
 
@@ -275,6 +274,12 @@ class InvariantReport:
     warnings: tuple = ()
 
 
+def _require_b2(config):
+    missing = [c.id for c in config.components if c.b2 is None]
+    if missing:
+        raise ConfigError(f"components missing b2: {missing}")
+
+
 def link_invariant(config: DivisorConfiguration) -> InvariantReport:
     """b2(E) = sum b2(E_i) - #double curves, ell = b2(E) - r.
 
@@ -283,9 +288,7 @@ def link_invariant(config: DivisorConfiguration) -> InvariantReport:
     come from an actual divisor, and is reported with a warning rather
     than an error.
     """
-    missing = [c.id for c in config.components if c.b2 is None]
-    if missing:
-        raise ConfigError(f"components missing b2: {missing}")
+    _require_b2(config)
     r = len(config.components)
     n_double = len(config.double_curves)
     b2e = sum(c.b2 for c in config.components) - n_double
@@ -309,9 +312,7 @@ def restriction_rank_b2(config: DivisorConfiguration) -> int:
     1967), found with one breadth-first augmenting path per curve, so
     b2(E) is the number of classes left free.  The count is charged
     against RANK_WORK_LIMIT before it runs; past it, ConfigError."""
-    missing = [c.id for c in config.components if c.b2 is None]
-    if missing:
-        raise ConfigError(f"components missing b2: {missing}")
+    _require_b2(config)
     curves = len(config.double_curves)
     comps = len(config.components)
     if curves * (comps + curves) > RANK_WORK_LIMIT:
@@ -353,18 +354,13 @@ def deformation_dims(config: DivisorConfiguration) -> InvariantReport:
     components: h0(T1) is the sum of the h01 values (1 per elliptic ruled
     component) and h1(T1) = dim T2 = r - 1.
     """
+    h01 = [c.resolved_h01() for c in config.components]
+    if None in h01:
+        other = config.components[h01.index(None)]
+        raise ConfigError(f"component {other.id} of kind 'other' needs h01")
     r = len(config.components)
-    report = InvariantReport(r=r, n_double=len(config.double_curves))
-    vals = []
-    for c in config.components:
-        h01 = c.resolved_h01()
-        if h01 is None:
-            raise ConfigError(f"component {c.id} of kind 'other' needs h01")
-        vals.append(h01)
-    report.h0_t1 = sum(vals)
-    report.h1_t1 = r - 1
-    report.dim_t2 = r - 1
-    return report
+    return InvariantReport(r=r, n_double=len(config.double_curves),
+                           h0_t1=sum(h01), h1_t1=r - 1, dim_t2=r - 1)
 
 
 # -- classification -----------------------------------------------------------------
@@ -382,6 +378,27 @@ class ClassificationResult:
     failed_clauses: tuple   # (type name, clause, reason)
     assumed_clauses: tuple  # (type name, clause, note)
     notes: tuple = ()
+
+
+# The sheaf-level clauses of each shape, which no configuration decides:
+# (clause, note), in report order.
+_ASSUMED = {
+    Verdict.TYPE_II: (
+        ("i", "-K nef and big on the rational end is declared, not computed"),
+        ("iii", "smoothness of the double curves is declared, not computed"),
+        ("iv", "D0 smooth elliptic and disjoint from the next double curve"),
+        ("v", "normal bundle condition O_E(E) = omega_E is declared"),
+    ),
+    Verdict.TYPE_III_1: (
+        ("iii", "chains consist of smooth rational curves meeting transversally"),
+        ("iv", "normal bundle condition O_E(E) = omega_E is declared"),
+    ),
+    Verdict.TYPE_III_2: (
+        ("ii", "marked chains meet only the neighboring boundary components"),
+        ("iii", "boundary cycles C_i + D_i are anticanonical cycles of rational curves"),
+        ("v", "normal bundle condition O_E(E) = omega_E is declared"),
+    ),
+}
 
 
 def _simple_path_order(config):
@@ -413,7 +430,28 @@ def _simple_path_order(config):
     return order, None
 
 
-def _boundary_failures(config, shape, clause, cids, chains):
+def _cycle_defects(adj):
+    """How the graph given as vertex -> neighbors falls short of a single
+    cycle: the sorted vertices whose degree is not 2 and, when there are
+    none, whether it splits into several cycles."""
+    bad = sorted(v for v, ms in adj.items() if len(ms) != 2)
+    return bad, not bad and not _is_connected(adj)
+
+
+# Each rule below gives the (clause, reason) pairs it fails; classify
+# prefixes them with the shape's name.
+
+def _kind_failures(config, clause, cids, kind):
+    bad = [c for c in cids if config.by_id[c].kind is not kind]
+    return [(clause, f"components {bad} must be {kind.value.replace('_', ' ')}")] if bad else []
+
+
+def _genus_failures(config, clause, genus):
+    bad = [d.id for d in config.double_curves if d.genus != genus]
+    return [(clause, f"double curves {bad} must have genus {genus}")] if bad else []
+
+
+def _boundary_failures(config, clause, cids, chains):
     """The anticanonical-boundary rule that every shape checks: the
     boundary of each component in `cids` is the double curves on it plus
     the curves of its marked chains (`chains`: component id -> chains)."""
@@ -422,208 +460,132 @@ def _boundary_failures(config, shape, clause, cids, chains):
         expect = set(config.curves_at[cid]).union(*chains.get(cid, ()))
         got = set(config.by_id[cid].anticanonical)
         if got != expect:
-            failed.append(
-                (shape, clause,
-                 f"component {cid!r} anticanonical boundary {sorted(got)} != {sorted(expect)}")
-            )
+            failed.append((clause, f"component {cid!r} anticanonical boundary "
+                                   f"{sorted(got)} != {sorted(expect)}"))
     return failed
 
 
 def _eval_type_ii(config, order, why):
-    failed, assumed, notes = [], [], []
-    comps = config.components
-    r = len(comps)
+    failed = []
     oriented = None  # chain listed E_1 .. E_r with E_r the rational end
     if order is None:
-        failed.append(("TYPE_II", "ii", f"dual complex is not a point or segment: {why}"))
-    elif r == 1:
-        if comps[0].kind is Kind.RATIONAL:
+        failed.append(("ii", f"dual complex is not a point or segment: {why}"))
+    elif len(order) == 1:
+        kind = config.by_id[order[0]].kind
+        if kind is Kind.RATIONAL:
             oriented = order
         else:
-            failed.append(
-                ("TYPE_II", "i", f"single component must be rational, is {comps[0].kind.value}")
-            )
+            failed.append(("i", f"single component must be rational, is {kind.value}"))
     else:
-        kinds = {cid: config.by_id[cid].kind for cid in order}
-        rational_ends = [c for c in (order[0], order[-1]) if kinds[c] is Kind.RATIONAL]
+        rational_ends = [c for c in (order[0], order[-1])
+                         if config.by_id[c].kind is Kind.RATIONAL]
         if len(rational_ends) != 1:
             failed.append(
-                ("TYPE_II", "i",
-                 "exactly one end of the chain must be the rational component "
-                 f"(rational ends: {sorted(rational_ends)})")
+                ("i", "exactly one end of the chain must be the rational component "
+                      f"(rational ends: {sorted(rational_ends)})")
             )
         else:
-            cand = order if kinds[order[-1]] is Kind.RATIONAL else order[::-1]
-            bad = [c for c in cand[:-1] if kinds[c] is not Kind.ELLIPTIC_RULED]
-            if bad:
-                failed.append(
-                    ("TYPE_II", "i", f"components {bad} must be elliptic ruled")
-                )
-            else:
+            cand = order if rational_ends[0] == order[-1] else order[::-1]
+            bad_kind = _kind_failures(config, "i", cand[:-1], Kind.ELLIPTIC_RULED)
+            failed += bad_kind
+            if not bad_kind:
                 oriented = cand
-    assumed.append(("TYPE_II", "i", "-K nef and big on the rational end is declared, not computed"))
 
-    bad_genus = [d.id for d in config.double_curves if d.genus != 1]
-    if bad_genus:
-        failed.append(("TYPE_II", "iii", f"double curves {bad_genus} must have genus 1"))
-    assumed.append(("TYPE_II", "iii", "smoothness of the double curves is declared, not computed"))
+    failed += _genus_failures(config, "iii", 1)
 
     d0 = config.marked.d0_curve
     if d0 is None:
-        failed.append(("TYPE_II", "iv", "no D0 boundary curve is marked"))
+        failed.append(("iv", "no D0 boundary curve is marked"))
     elif oriented is not None:
-        holders = [c.id for c in comps if d0 in c.anticanonical]
+        holders = [c.id for c in config.components if d0 in c.anticanonical]
         if len(holders) > 1:
             raise ConfigError(f"ambiguous marked data: two candidate D0 locations {holders}")
         # D0 is the only marked curve; it lies on E_1, the far end of the chain
-        failed += _boundary_failures(config, "TYPE_II", "iv", oriented, {oriented[0]: ((d0,),)})
-    assumed.append(("TYPE_II", "iv", "D0 smooth elliptic and disjoint from the next double curve"))
-    assumed.append(("TYPE_II", "v", "normal bundle condition O_E(E) = omega_E is declared"))
-    return failed, assumed, notes
+        failed += _boundary_failures(config, "iv", oriented, {oriented[0]: ((d0,),)})
+    return failed
 
 
 def _eval_type_iii1(config, order, why):
-    failed, assumed, notes = [], [], []
-    comps = config.components
-    bad_kind = [c.id for c in comps if c.kind is not Kind.RATIONAL]
-    if bad_kind:
-        failed.append(("TYPE_III_1", "i", f"components {bad_kind} must be rational"))
-
+    failed = _kind_failures(config, "i", config.by_id, Kind.RATIONAL)
     if order is None:
-        failed.append(("TYPE_III_1", "ii", f"dual complex is not a point or segment: {why}"))
-
-    bad_genus = [d.id for d in config.double_curves if d.genus != 0]
-    if bad_genus:
-        failed.append(("TYPE_III_1", "iii", f"double curves {bad_genus} must have genus 0"))
+        failed.append(("ii", f"dual complex is not a point or segment: {why}"))
+    failed += _genus_failures(config, "iii", 0)
 
     cc = config.marked.c_curves
     if not cc:
-        failed.append(("TYPE_III_1", "iii", "no C chains are marked"))
+        failed.append(("iii", "no C chains are marked"))
     elif order is not None:
-        r = len(order)
-        expected_chains = {order[0]: 1, order[-1]: 1}
-        for cid in order[1:-1]:
-            expected_chains[cid] = 2
-        if r == 1:
-            expected_chains = {order[0]: None}  # any positive number of chains
-        for cid in order:
-            chains = cc.get(cid, ())
-            wantn = expected_chains[cid]
-            if wantn is None:
-                if not chains:
+        # no chain lies off the segment: order lists every component, and
+        # DivisorConfiguration rejects chains on unknown components
+        if len(order) == 1:
+            if not cc[order[0]]:
+                failed.append(("iii", f"component {order[0]!r} needs a marked cycle C"))
+        else:
+            for i, cid in enumerate(order):
+                have = len(cc.get(cid, ()))
+                want = 1 if i in (0, len(order) - 1) else 2  # one chain on each end, two inside
+                if have != want:
                     failed.append(
-                        ("TYPE_III_1", "iii", f"component {cid!r} needs a marked cycle C")
+                        ("iii", f"component {cid!r} needs {want} marked chain(s), has {have}")
                     )
-            elif len(chains) != wantn:
-                failed.append(
-                    ("TYPE_III_1", "iii",
-                     f"component {cid!r} needs {wantn} marked chain(s), has {len(chains)}")
-                )
-        extra = set(cc) - set(order)
-        if extra:
-            failed.append(
-                ("TYPE_III_1", "iii", f"marked chains on unexpected components {sorted(extra)}")
-            )
-        if not any(x[1] == "iii" for x in failed):
-            failed += _boundary_failures(config, "TYPE_III_1", "iii", order, cc)
-    assumed.append(
-        ("TYPE_III_1", "iii", "chains consist of smooth rational curves meeting transversally")
-    )
-    assumed.append(("TYPE_III_1", "iv", "normal bundle condition O_E(E) = omega_E is declared"))
-    return failed, assumed, notes
+        if not any(clause == "iii" for clause, _ in failed):
+            failed += _boundary_failures(config, "iii", order, cc)
+    return failed
 
 
 def _eval_type_iii2(config):
-    failed, assumed, notes = [], [], []
-    comps = config.components
-    bad_kind = [c.id for c in comps if c.kind is not Kind.RATIONAL]
-    if bad_kind:
-        failed.append(("TYPE_III_2", "i", f"components {bad_kind} must be rational"))
-
-    boundary = sorted(config.marked.c_curves)
-    interior = [c.id for c in comps if c.id not in set(boundary)]
+    """The failed clauses of TYPE_III_2 and its notes."""
+    failed = _kind_failures(config, "i", config.by_id, Kind.RATIONAL)
+    notes = []
+    cc = config.marked.c_curves
+    boundary = sorted(cc)
     if len(boundary) < 2:
-        failed.append(
-            ("TYPE_III_2", "ii",
-             f"needs at least two boundary components with marked chains, has {len(boundary)}")
-        )
-    else:
-        bset = set(boundary)
-        adj = {
-            b: sorted(m for m in config.adjacent[b] if m in bset) for b in boundary
-        }
-        if len(boundary) == 2:
-            a, b = boundary
-            ids = config.pair_curves.get(frozenset((a, b)), [])
-            if len(ids) < 2:
-                failed.append(
-                    ("TYPE_III_2", "ii",
-                     "two boundary components must meet in at least two curves "
-                     f"to close the boundary cycle; they meet in {len(ids)}")
-                )
-            else:
-                notes.append(
-                    "boundary cycle of length 2 realized by parallel double curves "
-                    f"{sorted(ids)[:2]}"
-                )
+        failed.append(("ii", "needs at least two boundary components with marked chains, "
+                             f"has {len(boundary)}"))
+    elif len(boundary) == 2:
+        ids = config.pair_curves.get(frozenset(boundary), [])
+        if len(ids) < 2:
+            failed.append(
+                ("ii", "two boundary components must meet in at least two curves "
+                       f"to close the boundary cycle; they meet in {len(ids)}")
+            )
         else:
-            bad = [b for b in boundary if len(adj[b]) != 2]
-            if bad:
-                failed.append(
-                    ("TYPE_III_2", "ii",
-                     f"boundary components {bad} do not meet exactly two other boundary components")
-                )
-            elif not _is_connected(adj):
-                failed.append(
-                    ("TYPE_III_2", "ii", "boundary components split into several cycles")
-                )
+            notes.append(
+                f"boundary cycle of length 2 realized by parallel double curves {sorted(ids)[:2]}"
+            )
+    else:
+        bad, split = _cycle_defects({b: config.adjacent[b] & cc.keys() for b in boundary})
+        if bad:
+            failed.append(("ii", f"boundary components {bad} do not meet exactly two other "
+                                 "boundary components"))
+        elif split:
+            failed.append(("ii", "boundary components split into several cycles"))
 
-    bad_genus = [d.id for d in config.double_curves if d.genus != 0]
-    if bad_genus:
-        failed.append(("TYPE_III_2", "iii", f"double curves {bad_genus} must have genus 0"))
-    failed += _boundary_failures(
-        config, "TYPE_III_2", "iii", sorted(config.by_id), config.marked.c_curves
-    )
+    failed += _genus_failures(config, "iii", 0)
+    failed += _boundary_failures(config, "iii", sorted(config.by_id), cc)
 
     dc = build_dual_complex(config)
     if dc.nonmanifold_edges:
         failed.append(
-            ("TYPE_III_2", "iv",
-             f"curves {list(dc.nonmanifold_edges)} lie on three or more triangles")
+            ("iv", f"curves {list(dc.nonmanifold_edges)} lie on three or more triangles")
         )
     if dc.euler_characteristic != 1:
         failed.append(
-            ("TYPE_III_2", "iv",
-             f"Euler characteristic is {dc.euler_characteristic}, a disk needs 1")
+            ("iv", f"Euler characteristic is {dc.euler_characteristic}, a disk needs 1")
         )
     if dc.h1_rank != 0:
-        failed.append(
-            ("TYPE_III_2", "iv", f"first homology rank is {dc.h1_rank}, a disk needs 0")
-        )
+        failed.append(("iv", f"first homology rank is {dc.h1_rank}, a disk needs 0"))
     bcycle = _boundary_cycle_vertices(config, dc)
     if bcycle is None:
-        failed.append(
-            ("TYPE_III_2", "iv", "free edges of the complex do not form a single cycle")
-        )
+        failed.append(("iv", "free edges of the complex do not form a single cycle"))
     elif boundary and bcycle != set(boundary):
-        failed.append(
-            ("TYPE_III_2", "iv",
-             f"boundary cycle {sorted(bcycle)} != marked components {boundary}")
-        )
-    for cid in interior:
-        ok, why = _interior_link_is_cycle(config, cid)
-        if not ok:
-            failed.append(
-                ("TYPE_III_2", "iv", f"interior component {cid!r}: {why}")
-            )
-    assumed.append(
-        ("TYPE_III_2", "ii", "marked chains meet only the neighboring boundary components")
-    )
-    assumed.append(
-        ("TYPE_III_2", "iii", "boundary cycles C_i + D_i are anticanonical cycles of rational curves")
-    )
-    assumed.append(("TYPE_III_2", "v", "normal bundle condition O_E(E) = omega_E is declared"))
-    return failed, assumed, notes
+        failed.append(("iv", f"boundary cycle {sorted(bcycle)} != marked components {boundary}"))
+    for cid in config.by_id:
+        if cid not in cc:
+            why = _interior_link_failure(config, cid)
+            if why:
+                failed.append(("iv", f"interior component {cid!r}: {why}"))
+    return failed, notes
 
 
 def _boundary_cycle_vertices(config, dc):
@@ -636,27 +598,25 @@ def _boundary_cycle_vertices(config, dc):
         a, b = config.curve_by_id[eid].between
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    if any(len(ms) != 2 for ms in adj.values()) or not _is_connected(adj):
-        return None
-    return set(adj)
+    bad, split = _cycle_defects(adj)
+    return None if bad or split else set(adj)
 
 
-def _interior_link_is_cycle(config, cid):
-    neighbors = sorted(config.adjacent[cid])
+def _interior_link_failure(config, cid):
+    """Why the link of the interior component cid is not one cycle, or None."""
+    neighbors = config.adjacent[cid]
     if len(neighbors) < 3:
-        return False, f"only {len(neighbors)} neighbors, an interior vertex needs >= 3"
+        return f"only {len(neighbors)} neighbors, an interior vertex needs >= 3"
     link = {m: set() for m in neighbors}
     for t in config.triple_points:
         if cid in t.components:
-            a, b = sorted(t.components - {cid})
+            a, b = t.components - {cid}
             link[a].add(b)
             link[b].add(a)
-    if any(len(v) != 2 for v in link.values()):
-        bad = sorted(m for m, v in link.items() if len(v) != 2)
-        return False, f"link vertices {bad} do not have exactly two link edges"
-    if not _is_connected(link):
-        return False, "link splits into several cycles"
-    return True, None
+    bad, split = _cycle_defects(link)
+    if bad:
+        return f"link vertices {bad} do not have exactly two link edges"
+    return "link splits into several cycles" if split else None
 
 
 def classify(config: DivisorConfiguration) -> ClassificationResult:
@@ -667,28 +627,17 @@ def classify(config: DivisorConfiguration) -> ClassificationResult:
     evals = {
         Verdict.TYPE_II: _eval_type_ii(config, order, why),
         Verdict.TYPE_III_1: _eval_type_iii1(config, order, why),
-        Verdict.TYPE_III_2: _eval_type_iii2(config),
     }
-    failed = []
-    assumed = []
-    notes = []
-    passing = []
-    for verdict, (f, a, n) in evals.items():
-        failed.extend(f)
-        assumed.extend(a)
-        notes.extend(n)
-        if not f:
-            passing.append(verdict)
-    if len(passing) == 1:
-        verdict = passing[0]
-    else:
-        verdict = Verdict.UNCLASSIFIED
-        if len(passing) > 1:
-            notes.append(
-                f"ambiguous: clauses of {[p.value for p in passing]} all pass"
-            )
+    evals[Verdict.TYPE_III_2], notes = _eval_type_iii2(config)
+    failed, assumed = [], []
+    for verdict, shape_failed in evals.items():
+        failed += [(verdict.value, clause, reason) for clause, reason in shape_failed]
+        assumed += [(verdict.value, clause, note) for clause, note in _ASSUMED[verdict]]
+    # at most one shape passes: D0 (TYPE_II) and C chains (TYPE_III) exclude each
+    # other, and a segment (TYPE_III_1) has no boundary cycle or parallel pair (TYPE_III_2)
+    passing = [verdict for verdict, shape_failed in evals.items() if not shape_failed]
     return ClassificationResult(
-        verdict=verdict,
+        verdict=passing[0] if passing else Verdict.UNCLASSIFIED,
         failed_clauses=tuple(failed),
         assumed_clauses=tuple(assumed),
         notes=tuple(notes),
@@ -789,20 +738,22 @@ def _objects(d, key, what):
     return items
 
 
+def _known_keys(d, allowed, what):
+    unknown = set(d) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def config_from_dict(d: dict) -> DivisorConfiguration:
     if not isinstance(d, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = set(d) - {"components", "double_curves", "triple_points", "marked"}
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    _known_keys(d, {"components", "double_curves", "triple_points", "marked"}, "configuration")
     if "components" not in d:
         raise ConfigError("configuration needs 'components'")
 
     comps = []
     for c in _objects(d, "components", "component"):
-        unknown = set(c) - _COMPONENT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown component keys: {sorted(unknown)}")
+        _known_keys(c, _COMPONENT_KEYS, "component")
         try:
             kind = Kind(c.get("kind", "rational"))
         except ValueError:
@@ -822,9 +773,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
 
     curves = []
     for x in _objects(d, "double_curves", "double curve"):
-        unknown = set(x) - _CURVE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown double curve keys: {sorted(unknown)}")
+        _known_keys(x, _CURVE_KEYS, "double curve")
         between = x.get("between")
         if not isinstance(between, (list, tuple)) or len(between) != 2:
             raise ConfigError(f"double curve {x.get('id')!r} needs between: [a, b]")
@@ -838,9 +787,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
 
     triples = []
     for i, x in enumerate(_objects(d, "triple_points", "triple point")):
-        unknown = set(x) - _TRIPLE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown triple point keys: {sorted(unknown)}")
+        _known_keys(x, _TRIPLE_KEYS, "triple point")
         members = x.get("components")
         if not isinstance(members, (list, tuple)) or len(members) != 3:
             raise ConfigError("each triple point needs components: [a, b, c]")
@@ -856,9 +803,7 @@ def config_from_dict(d: dict) -> DivisorConfiguration:
         m = d["marked"]
         if not isinstance(m, dict):
             raise ConfigError("marked must be an object")
-        unknown = set(m) - _MARKED_KEYS
-        if unknown:
-            raise ConfigError(f"unknown marked keys: {sorted(unknown)}")
+        _known_keys(m, _MARKED_KEYS, "marked")
         d0 = m.get("d0_curve")
         if isinstance(d0, (list, tuple)):
             if len(d0) > 1:

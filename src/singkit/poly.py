@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 Exps = tuple  # exponent tuple, one nonnegative int per ambient variable
 
@@ -54,7 +54,7 @@ def _canonical(terms: dict) -> dict:
 def _ambient(vars) -> tuple:
     vs = tuple(vars)
     if len(set(vs)) != len(vs):
-        raise ValueError("duplicate variable names in ambient")
+        raise ConfigError("duplicate variable names in ambient")
     return vs
 
 

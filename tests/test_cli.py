@@ -77,6 +77,17 @@ def test_undeclared_variable_exits_2(capsys):
     assert main(["tjurina", "q^2"]) == 2
 
 
+def test_corpus_entry_with_duplicate_variable_names_exits_2(tmp_path, capsys):
+    # the one input error raised in poly; main catches no other ValueError
+    path = tmp_path / "dup-vars.json"
+    path.write_text(json.dumps([{"id": "v", "kind": "milnor", "poly": "x^2",
+                                 "vars": ["x", "y", "x"]}]))
+    assert main(["corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate variable names in ambient\n"
+
+
 def test_smallres_report(tmp_path, capsys):
     germ = tmp_path / "germ.json"
     germ.write_text(json.dumps(
@@ -375,6 +386,20 @@ def test_corpus_duplicate_ids_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate corpus entry ids\n"
 
 
+def test_corpus_failed_relation_fails_its_entry_only(capsys):
+    # the smallres entry's mu + branches - 1 is odd; the other two still run
+    code, report = run(capsys, "corpus", str(Path(__file__).parent / "data" / "corpus-mixed.json"))
+    assert code == 1
+    validate(report, SCHEMA)
+    assert report["results"] == {"total": 3, "passed": 2, "failed": ["mixed/smallres-parity"]}
+    assert report["checks"] == [
+        {"name": "mixed/fiber", "expected": {"count": 3}, "actual": {"count": 3}, "pass": True},
+        {"name": "mixed/smallres-parity", "expected": {}, "pass": False,
+         "detail": "delta parity: mu + branches - 1 = 19 is odd; branch count is wrong"},
+        {"name": "mixed/tjurina", "expected": {"tau": 3}, "actual": {"tau": 3}, "pass": True},
+    ]
+
+
 @pytest.mark.parametrize("entries, message", [
     ([{"id": "a", "kind": "tjurina", "poly": "x^2+y^2+z^2+w^2"}, 7],
      "corpus entry 1 is not an object"),
@@ -468,6 +493,17 @@ def test_deeply_nested_polynomial_exits_2(capsys):
     assert main(["tjurina", "(" * 3000 + "x" + ")" * 3000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: parentheses nested too deeply") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["smallres", "dualcomplex-invariants",
+                                     "dualcomplex-classify", "corpus"])
+def test_deeply_nested_json_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} nests JSON too deeply\n"
 
 
 def test_defspace_verify_runs_each_identity_once(monkeypatch, capsys):
@@ -768,3 +804,21 @@ def test_closed_stdout_exits_2_with_one_line(unbuffered):
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: stdout closed before the report was written\n"
+
+
+@pytest.mark.parametrize("argv, stdout_closed", [
+    (["tjurina", "x^2+"], False),     # the parse error's line meets a closed stderr
+    (["tjurina", "x^2+y^2"], True),   # the report and then its error line, both closed
+])
+def test_closed_stderr_exits_2(argv, stdout_closed):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "singkit.cli", *argv],
+            stdout=write_end if stdout_closed else subprocess.PIPE, stderr=write_end,
+            env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stdout in (None, b"")

@@ -89,6 +89,7 @@ CASES = {
     "tjurina-non-isolated": ["tjurina", "x^2 + y^2"],
     "tjurina-parse-error": ["tjurina", "x^2+"],
     "tjurina-undeclared": ["tjurina", "q^2"],
+    "tjurina-duplicate-vars": ["tjurina", "x^2+y^2", "--vars", "x,x"],
     "milnor": ["milnor", "x^3+y^3+z^3+w^3"],
     "milnor-non-isolated": ["milnor", "x^2 + y^2"],
     "milnor-vars": ["milnor", "a^2+b^3", "--vars", "a, b"],
@@ -119,7 +120,7 @@ CASES.update({f"dualcomplex-classify-{name}": ["dualcomplex-classify", f"{name}.
               for name in CONFIGS})
 
 DIGESTS = {
-    "corpus-consistency": "4a4edcf761910813a9e0eecd844e164bae596ab84a0c3f5c73276fad935374fe",  # exit 1
+    "corpus-consistency": "67bfd0ff9a1e254ff3bd2de098e6cffccf96c4fa3dd67d19651ee09c607b15d0",  # exit 1
     "corpus-failing": "f690d49fb33f3fd8a14f54d0839265498c6def53b4181835f44453d110738da5",  # exit 1
     "corpus-missing-file": "aa74bf3c37ba085d8998e69f505f3eb8cfe5eb699cd3d38dd64f43977a19dca1",  # exit 2
     "corpus-seed0": "3dcb59f9b647b5af53832cbfbcea3d33b0333a2f7cfa2f78cb75889fd4e436e7",  # exit 0
@@ -159,6 +160,7 @@ DIGESTS = {
     "smallres-parity": "903e853e3ff000502b97761c4ac156b374ada08d499636b7f510b215758b7563",  # exit 1
     "tjurina": "4ed93a75f70a52000c2ae11ff45afaaa009ab5e5fb30585735d3b922d1a936c2",  # exit 0
     "tjurina-deformed-cone": "ab7755126082d5284b6de3c4931e4b3dbb70e402761626a812cff578c38a2382",  # exit 0
+    "tjurina-duplicate-vars": "c5bbd456013782a037f5e862b7ae7adee4ba3361f54dac006054b48bb50d4a20",  # exit 2
     "tjurina-non-isolated": "a94edb56886d9e1143aeb03127c319809bf57d989c39ed749a924d22ae1506bd",  # exit 0
     "tjurina-parse-error": "b5fdf2c22b08fbbd4e9f6d4a03e865f7172618db16cbbe7911b476625f647f89",  # exit 2
     "tjurina-undeclared": "5a47f4edcf2bb96a30b14d881b7188f82732c794013f7c9cb7d42365d41552ad",  # exit 2
