@@ -5,8 +5,9 @@ Every subcommand prints a single JSON report to stdout:
     {"command": ..., "inputs": ..., "results": ..., "checks": [...], "warnings": [...]}
 
 Exit status: 0 = computed and all checks passed, 1 = a consistency
-check failed, 2 = bad input (parse error, malformed config, missing or
-too deeply nested JSON file), an input whose work would pass a limit
+check failed, 2 = bad input (parse error, malformed config, missing,
+non-UTF-8 or too deeply nested JSON file, an int of more digits than
+Python converts), an input whose work would pass a limit
 (PARSE_WORK_LIMIT, ROOT_SEARCH_LIMIT, LOCAL_WORK_LIMIT, RANK_WORK_LIMIT)
 or a stdout closed before the report was written, with a one-line
 diagnostic on stderr; a closed stderr drops that line and keeps the
@@ -76,8 +77,11 @@ def _write(value, out, indent):
 def _emit(command, inputs, results, checks=(), warnings=()):
     checks = list(checks)
     out = []
-    _write({"command": command, "inputs": inputs, "results": results,
-            "checks": checks, "warnings": list(warnings)}, out, "\n")
+    try:
+        _write({"command": command, "inputs": inputs, "results": results,
+                "checks": checks, "warnings": list(warnings)}, out, "\n")
+    except ValueError:  # an int past sys.get_int_max_str_digits(), from huge inputs
+        raise ConfigError("a result has an integer too long to print") from None
     print("".join(out))
     return 1 if any(not c.get("pass", True) for c in checks) else 0
 
@@ -95,7 +99,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"{path} nests JSON too deeply") from None

@@ -450,6 +450,13 @@ def _tokenize(text: str):
     return toks
 
 
+def _int_literal(text, at):
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", at) from None
+
+
 class _Parser:
     def __init__(self, text: str, vars):
         self.text = text
@@ -516,7 +523,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.next()
-            k = int(val)
+            k = _int_literal(val, at)
             self.spend(_power_cost(len(base.terms), k, _height(base)), caret)
             return base ** k
         return base
@@ -524,7 +531,7 @@ class _Parser:
     def atom(self) -> Poly:
         kind, val, at = self.next()
         if kind == "int":
-            num = int(val)
+            num = _int_literal(val, at)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
@@ -532,9 +539,10 @@ class _Parser:
                 if kind3 != "int":
                     raise ParseError("expected integer denominator", at3)
                 self.next()
-                if int(val3) == 0:
+                den = _int_literal(val3, at3)
+                if den == 0:
                     raise ParseError("zero denominator in rational literal", at3)
-                return Poly.const(self.vars, Fraction(num, int(val3)))
+                return Poly.const(self.vars, Fraction(num, den))
             return Poly.const(self.vars, num)
         if kind == "name":
             if val not in self.vars:

@@ -68,9 +68,8 @@ class SuspendedCurveGerm:
                 Poly.var(g.vars, u) ** 2 + Poly.var(g.vars, v) ** (2 * self.n)
             )
             if g != want:
-                raise ConfigError(
-                    f"a1_times({self.n}) requires g = {u}^2 + {v}^{2 * self.n}, got {g}"
-                )
+                raise ConfigError(f"a1_times({_show(self.n)}) requires g = "
+                                  f"{u}^2 + {v}^{_show(2 * self.n)}, got {_show(g)}")
         elif fam is Family.CUSTOM:
             if self.n is not None:
                 raise ConfigError("custom germs take branches, not n")
@@ -86,6 +85,14 @@ class SuspendedCurveGerm:
         if self.family is Family.A1_TIMES:
             return 2  # z^2 + w^(2n) = (z + i w^n)(z - i w^n)
         return self.branches
+
+
+def _show(x):
+    """str(x), or a stand-in where x holds an int past sys.get_int_max_str_digits()."""
+    try:
+        return str(x)
+    except ValueError:
+        return "<too many digits to print>"
 
 
 def _check_distinct_lines(g: Poly, n: int):
@@ -112,7 +119,7 @@ def plane_delta_invariant(g: Poly, branches: int) -> int:
     if (mu + branches - 1) % 2:
         raise ConsistencyError(
             "delta parity",
-            f"mu + branches - 1 = {mu + branches - 1} is odd; branch count is wrong",
+            f"mu + branches - 1 = {_show(mu + branches - 1)} is odd; branch count is wrong",
         )
     return (mu + branches - 1) // 2
 

@@ -506,6 +506,84 @@ def test_deeply_nested_json_file_exits_2(tmp_path, capsys, command):
     assert captured.err == f"error: {path} nests JSON too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["smallres", "dualcomplex-invariants",
+                                     "dualcomplex-classify", "corpus"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} is not valid JSON: 'utf-8' codec can't decode "
+                            "byte 0xff in position 0: invalid start byte\n")
+
+
+# Python refuses to convert between str and an int of more digits than this
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not _DIGITS, reason="ints of any length convert")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["smallres", "dualcomplex-invariants",
+                                     "dualcomplex-classify", "corpus"])
+def test_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "long.json"
+    path.write_text("1" * (_DIGITS + 1))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path} is not valid JSON: Exceeds the limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("template, position", [("{}*x^2", 0), ("x^{}", 2), ("1/{}*x^2", 2)])
+def test_integer_literal_past_the_digit_limit_exits_2(capsys, template, position):
+    assert main(["tjurina", template.format("1" * (_DIGITS + 1)), "--vars", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: integer literal too long (at position {position})\n"
+
+
+@needs_digit_limit
+def test_result_past_the_digit_limit_exits_2(tmp_path, capsys):
+    config = copy.deepcopy(TYPE_II_CHAIN)
+    for component in config["components"]:
+        component["b2"] = int("9" * _DIGITS)  # the report's sums need one digit more
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["dualcomplex-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a result has an integer too long to print\n"
+
+
+@needs_digit_limit
+def test_smallres_message_past_the_digit_limit_keeps_its_outcome(tmp_path, capsys):
+    n = 5 * 10 ** (_DIGITS - 1)  # 2n has one digit more than Python prints
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps({"g": "z^2 + w^2", "family": "a1_times", "n": n}))
+    assert main(["smallres", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: a1_times({n}) requires g = "
+                            "z^2 + w^<too many digits to print>, got z^2 + w^2\n")
+    square = "9" * (_DIGITS // 2 + 1)  # its square has more digits than Python prints
+    path.write_text(json.dumps({"g": f"({square})^2*z^2 + w^2", "family": "a1_times", "n": 1}))
+    assert main(["smallres", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a1_times(1) requires g = z^2 + w^2, "
+                            "got <too many digits to print>\n")
+    e = "9" * _DIGITS  # mu + 1 = (e - 1)^2 + 1 is odd and one digit too long
+    path.write_text(json.dumps({"g": f"z^{e} + w^{e}", "family": "custom", "branches": 2}))
+    code, report = run(capsys, "smallres", str(path))
+    assert code == 1
+    assert report["checks"] == [{
+        "name": "delta parity", "pass": False,
+        "detail": "delta parity: mu + branches - 1 = <too many digits to print> is odd; "
+                  "branch count is wrong"}]
+
+
 def test_defspace_verify_runs_each_identity_once(monkeypatch, capsys):
     calls = {"verify_factor_identity": 0, "inverse_composition_reduces": 0}
     for name in calls:
