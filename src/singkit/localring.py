@@ -274,9 +274,8 @@ def mora_normal_form(f, reducers, bound, work):
 
     `bound` is a degree N of the order with F_N inside the ideal that the
     reducers generate, or None (see `standard_basis`).  With it, terms of
-    degree >= N are dropped from f and after every reduction step, and f
-    reduces to {} as soon as its leading term has degree >= N: every term
-    left then lies in F_N.
+    degree >= N are dropped from f and after every reduction step, since
+    they lie in F_N, so every key of the result has degree < N.
 
     Every reduction step spends its cost (see LOCAL_WORK_LIMIT) from
     `work` (a `_Work`, shared with the caller).
@@ -298,9 +297,6 @@ def mora_normal_form(f, reducers, bound, work):
         work.left -= cost
         if work.left < 0:
             raise work.exhausted()
-        if bound is not None and lh[0] >= bound:
-            h = {}
-            break
         best = next((entry for entry in pool if all(map(le, entry[0], lh))), None)
         if best is None:
             break

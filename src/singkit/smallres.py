@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import ConfigError, ConsistencyError
 from .localring import INFINITE, milnor_number, tjurina_number
-from .poly import Poly, parse_polynomial, univariate_gcd
+from .poly import Poly, parse_polynomial
 
 
 class Family(str, Enum):
@@ -61,7 +61,9 @@ class SuspendedCurveGerm:
         if fam is Family.DISTINCT_LINES:
             if self.n < 2:
                 raise ConfigError("distinct_lines needs n >= 2")
-            _check_distinct_lines(g, self.n)
+            if any(sum(e) != self.n for e in g.terms):
+                raise ConfigError(f"distinct_lines({self.n}) requires g "
+                                  f"homogeneous of degree {self.n}")
         elif fam is Family.A1_TIMES:
             u, v = g.vars
             want = (
@@ -93,20 +95,6 @@ def _show(x):
         return str(x)
     except ValueError:
         return "<too many digits to print>"
-
-
-def _check_distinct_lines(g: Poly, n: int):
-    if any(sum(e) != n for e in g.terms):
-        raise ConfigError(f"distinct_lines({n}) requires g homogeneous of degree {n}")
-    z, w = g.vars
-    u = g.substitute({w: Poly.const(g.vars, 1)})
-    du = u.degree_in(z)
-    if n - du > 1:
-        raise ConfigError("g has a repeated line (w divides twice)")
-    if du > 0:
-        gcd = univariate_gcd(u, u.differentiate(z), z)
-        if gcd.degree_in(z) > 0:
-            raise ConfigError("g has a repeated line")
 
 
 def plane_delta_invariant(g: Poly, branches: int) -> int:
@@ -177,12 +165,14 @@ def small_res_report(s: SuspendedCurveGerm):
     can fail are checked, each once.  A custom germ's branch count is
     user data, so it is checked against Katz's condition
     branches == ord g; the named families meet it by construction.
+    Infinite tau raises ConfigError; a distinct_lines g has it iff two lines coincide.
     Returns (invariants, checks) without raising on a failed
     check; each check is a dict with name/expected/actual/pass.
     """
     tau = tjurina_number(s.g)
     if tau == INFINITE:
-        raise ConfigError("suspended germ has a non-isolated singularity")
+        raise ConfigError("g has a repeated line" if s.family is Family.DISTINCT_LINES
+                          else "suspended germ has a non-isolated singularity")
     r = s.branch_count - 1
     delta = plane_delta_invariant(s.g, s.branch_count)
     mu = 2 * delta - r
@@ -241,7 +231,7 @@ def small_res_invariants(s: SuspendedCurveGerm) -> SmallResInvariants:
 _GERM_KEYS = {"g", "family", "n", "branches"}
 
 
-def germ_from_dict(d: dict, vars=("z", "w")) -> SuspendedCurveGerm:
+def germ_from_dict(d: dict) -> SuspendedCurveGerm:
     if not isinstance(d, dict):
         raise ConfigError("germ description must be a JSON object")
     unknown = set(d) - _GERM_KEYS
@@ -255,7 +245,7 @@ def germ_from_dict(d: dict, vars=("z", "w")) -> SuspendedCurveGerm:
         raise ConfigError(f"unknown family {d['family']!r}") from None
     if not isinstance(d["g"], str):
         raise ConfigError(f"g must be a polynomial string, got {d['g']!r}")
-    g = parse_polynomial(d["g"], vars)
+    g = parse_polynomial(d["g"], ("z", "w"))
 
     def uint(key):
         v = d.get(key)

@@ -146,22 +146,45 @@ def test_smallres_curve_with_no_pure_power_of_z_answers(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
-def test_smallres_rational_lines_are_checked_distinct_on_ints(tmp_path, capsys):
-    # three lines of rational slopes: distinct_lines' check clears each
-    # polynomial's denominators and runs the gcd sequence on ints; the germ
-    # file is also run by CI without site-packages
+def test_smallres_rational_lines_answer_and_a_repeated_one_exits_2(tmp_path, capsys):
+    # three lines of rational slopes; the germ file is also run by CI
+    # without site-packages
     germ = Path(__file__).parent / "data" / "smallres-rational-lines.json"
     code, report = run(capsys, "smallres", str(germ))
     assert code == 0
     validate(report, SCHEMA)
     assert (report["results"]["tau"], report["results"]["delta"]) == (4, 3)
     assert all(c["pass"] for c in report["checks"])
-    # the line of slope 1/2 twice: the gcd of u and u' is z - 1/2
+    # the line of slope 1/2 twice: tau is infinite
     twice = tmp_path / "germ.json"
     twice.write_text(json.dumps(
         {"g": "(z - 1/2*w)^2*(z + 1/3*w)", "family": "distinct_lines", "n": 3}))
     assert main(["smallres", str(twice)]) == 2
     assert capsys.readouterr().err == "error: g has a repeated line\n"
+
+
+def test_smallres_many_lines_answer_at_once(capsys):
+    # z^n - w^n with n = 100000: tau = (n-1)^2 is read off the staircase
+    # and delta = n(n-1)/2, with nothing of size n laid out; the germ file
+    # is also run by CI without site-packages
+    germ = Path(__file__).parent / "data" / "smallres-many-lines.json"
+    start = time.perf_counter()
+    code, report = run(capsys, "smallres", str(germ))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    n, results = 100000, report["results"]
+    assert (results["tau"], results["delta"]) == ((n - 1) ** 2, n * (n - 1) // 2)
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_smallres_lines_past_printing_exit_2(capsys):
+    # z^n - w^n with n of 4300 nines: tau = (n-1)^2 has more digits than
+    # Python prints; the germ file is also run by CI without site-packages
+    germ = Path(__file__).parent / "data" / "smallres-lines-past-printing.json"
+    assert main(["smallres", str(germ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a result has an integer too long to print\n"
 
 
 def test_smallres_custom_germ_with_n_exits_2(tmp_path, capsys):

@@ -1016,6 +1016,27 @@ def test_weighted_standard_bases_agree_with_oracle(nvars):
                 assert _normal_form(h.terms, sb) == {}
 
 
+def test_normal_forms_under_a_bound_keep_only_keys_below_it():
+    # non-members of the seeded ideals, with terms on both sides of the
+    # corner: what mora_normal_form returns under the bound lies below it
+    rng = random.Random(91)
+    nonzero = cut = 0
+    for ideal in _seeded_ideals():
+        weights = tuple(rng.randint(1, 3) for _ in ideal.vars)
+        sb = standard_basis(ideal, weights=weights)
+        if sb.corner is None:
+            continue
+        keys = _Keys(weights)
+        for _ in range(3):
+            h = {tuple(rng.randint(0, 4) for _ in ideal.vars): rng.choice([-2, -1, 1, 3])
+                 for _ in range(rng.randint(1, 5))}
+            cut += max(keys.key(e)[0] for e in h) >= sb.corner
+            rem = _normal_form(h, sb)
+            assert all(k[0] < sb.corner for k in rem), (ideal, weights, h, rem)
+            nonzero += bool(rem)
+    assert nonzero > 100 and cut > 100, (nonzero, cut)
+
+
 def test_colength_does_not_depend_on_the_weights():
     rng = random.Random(90)
     for ideal in _seeded_ideals():
